@@ -25,7 +25,6 @@ from .diagram import (
     StrandPass,
     Term,
     canonical_form,
-    reverse_component,
     serialize_diagram,
 )
 from .errors import InternalInvariantError
@@ -147,12 +146,9 @@ def _component_key(c: Component) -> str:
     return serialize_diagram(canonical_form(SkeinDiagram.make([c], {})))
 
 
-_AUX_KEYS = {
-    _component_key(_AUX_NEG): "neg",
-    _component_key(reverse_component(_AUX_NEG)): "neg",
-    _component_key(_AUX_POS): "pos",
-    _component_key(reverse_component(_AUX_POS)): "pos",
-}
+# the canonical form reads a crossing-free component in either direction,
+# so one key per template also matches the template traversed backwards
+_AUX_KEYS = {_component_key(_AUX_NEG): "neg", _component_key(_AUX_POS): "pos"}
 
 _XZ = BasisMonomial(x=1, z=1)
 _Y = BasisMonomial(y=1)
@@ -197,7 +193,6 @@ def pluck_aux(t: Term) -> Term:
         diagram=SkeinDiagram.make(keep, {}),
         aux_neg=t.aux_neg + neg,
         aux_pos=t.aux_pos + pos,
-        steps=t.steps,
     )
 
 

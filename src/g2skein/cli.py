@@ -56,7 +56,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
         aux_substitute=args.aux_substitute,
         order=_parse_order(args.order),
         max_steps=args.max_steps,
-        threads=args.threads,
         trace_path=args.trace,
     )
     if args.output == "json":
@@ -96,13 +95,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     poly = engine.run_pipeline(d, stats=stats)
     elapsed = time.perf_counter() - started
-    resolved = stats.get("resolved_terms", 0)
-    kept = stats.get("terms_after_resolve_dedup", resolved)
     print(f"crossings: {args.crossings}")
-    print(f"terms generated: {resolved}")
-    print(f"terms after dedup: {kept}")
-    ratio = resolved / kept if kept else 1.0
-    print(f"dedup ratio: {ratio:.2f}")
+    print(f"nodes valued: {stats['nodes']}")
+    print(f"crossing expansions: {stats['crossing_expansions']}")
+    print(f"sort expansions: {stats['sort_expansions']}")
     print(f"wall time: {elapsed:.3f}s")
     print(f"result: {poly.text()}")
     return 0
@@ -125,8 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", choices=["standard", "positive", "symbolic"], default="standard")
     p.add_argument("--aux-substitute", action="store_true")
     p.add_argument("--order", help="comma-separated crossing ids")
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--max-steps", type=int, default=None, help="cap on sort expansions per run")
     p.add_argument("--trace", help="write a line-delimited step trace to this file")
     p.add_argument("--output", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_resolve)

@@ -144,25 +144,19 @@ class SkeinDiagram:
     def strand_pass_count(self) -> int:
         return sum(c.strand_pass_count() for c in self.components)
 
-    def all_entries(self) -> Iterator[PassEntry]:
-        for c in self.components:
-            yield from c.entries
-
 
 @dataclass(frozen=True)
 class Term:
     """One summand of the evolving expression.
 
     ``aux_neg`` / ``aux_pos`` count auxiliary-curve factors plucked out
-    of the diagram by the optional recognition fast path; ``steps``
-    carries the sorting-step counter used for the budget check.
+    of the diagram by the optional recognition fast path.
     """
 
     coeff: LaurentPoly
     diagram: SkeinDiagram
     aux_neg: int = 0
     aux_pos: int = 0
-    steps: int = 0
 
 
 Expression = list
@@ -396,17 +390,12 @@ def _component_key(c: Component) -> tuple:
     return (tuple(_blind_code(e) for e in c.entries), c.heights, c.orients)
 
 
-def _best_rotation(c: Component) -> Component:
-    m = len(c)
-    if m == 0:
+def _best_rotation(c: Component, reversible: bool) -> Component:
+    """Least rotation of c, or of c traversed backwards when ``reversible``."""
+    if not c.entries:
         return c
-    codes = tuple(_blind_code(e) for e in c.entries)
-    h, q = c.heights, c.orients
-    best_k = min(
-        range(m),
-        key=lambda k: (codes[k:] + codes[:k], h[k:] + h[:k], q[k:] + q[:k]),
-    )
-    return rotate_component(c, best_k) if best_k else c
+    ways = (c, reverse_component(c)) if reversible else (c,)
+    return min((rotate_component(w, k) for w in ways for k in range(len(c))), key=_component_key)
 
 
 def canonical_form(d: SkeinDiagram) -> SkeinDiagram:
@@ -417,13 +406,16 @@ def canonical_form(d: SkeinDiagram) -> SkeinDiagram:
     renumbered in order of first appearance.  Idempotent, and constant
     under rotation, order-preserving height relabeling, component
     permutation and id renumbering, which is what term deduplication
-    needs.
+    needs.  In a crossing-free diagram each component is also read in
+    whichever direction gives the lesser key: the curves are unoriented,
+    and only crossing signs depend on the direction.
     """
     cached = d._memo.get("canon")
     if cached is not None:
         return cached
     ranked = _rank_heights(d)
-    comps = sorted((_best_rotation(c) for c in ranked.components), key=_component_key)
+    reversible = not d.sign_pairs
+    comps = sorted((_best_rotation(c, reversible) for c in ranked.components), key=_component_key)
     renumber: dict[int, int] = {}
     new_comps = []
     for c in comps:
@@ -444,6 +436,24 @@ def canonical_form(d: SkeinDiagram) -> SkeinDiagram:
     return result
 
 
+def _least_rotation(codes: tuple, rh: tuple, q: tuple, ents: tuple) -> tuple:
+    """The four parallel sequences of a component at its least rotation."""
+    # the least rotation starts at the least code; only those compete
+    low = min(codes, default=None)
+    starts = [k for k in range(len(codes)) if codes[k] == low]
+    best = starts[0] if len(starts) == 1 else min(
+        starts,
+        key=lambda k: (codes[k:] + codes[:k], rh[k:] + rh[:k], q[k:] + q[:k]),
+        default=0,
+    )
+    return (
+        codes[best:] + codes[:best],
+        rh[best:] + rh[:best],
+        q[best:] + q[:best],
+        ents[best:] + ents[:best],
+    )
+
+
 def dedup_key(d: SkeinDiagram) -> tuple:
     """Totally ordered value identifying the diagram's canonical form.
 
@@ -461,25 +471,17 @@ def dedup_key(d: SkeinDiagram) -> tuple:
     rank = {h: i + 1 for i, h in enumerate(used)}
     comps = []
     for c in d.components:
-        m = len(c)
         codes = tuple(_blind_code(e) for e in c.entries)
         rh = tuple(rank[h] if h > 0 else 0 for h in c.heights)
-        q = c.orients
-        if m:
-            best = min(
-                range(m),
-                key=lambda k: (codes[k:] + codes[:k], rh[k:] + rh[:k], q[k:] + q[:k]),
+        item = _least_rotation(codes, rh, c.orients, c.entries)
+        if not d.sign_pairs:
+            back = reverse_component(c)
+            item = min(
+                item,
+                _least_rotation(codes[::-1], rh[::-1], back.orients, back.entries),
+                key=lambda it: it[:3],
             )
-        else:
-            best = 0
-        comps.append(
-            (
-                codes[best:] + codes[:best],
-                rh[best:] + rh[:best],
-                q[best:] + q[:best],
-                c.entries[best:] + c.entries[:best],
-            )
-        )
+        comps.append(item)
     comps.sort(key=lambda item: item[:3])
     renumber: dict[int, int] = {}
     keyed = []

@@ -1,33 +1,33 @@
-"""Pipeline orchestration: resolve, sort, classify, with dedup and tracing.
+"""Pipeline orchestration: one memoized walk from input to polynomial.
 
-The full run is parse -> validate -> resolve every crossing -> sort the
-strands -> classify and accumulate.  Terms are independent throughout,
-so the per-term work can be farmed out to a thread pool; results are
-reduced commutatively and the final polynomial is rendered canonically,
-which keeps output byte-identical whatever the thread count.  Term
-deduplication (merge terms whose diagrams canonicalize identically)
-runs after resolution and after every sorting round; it is the main
-defense against the exponential term blowup.
+A diagram's value is computed by a single depth-first walk over the
+diagrams it rewrites into.  A node that still has a crossing expands
+into its two smoothings (the crossing rule, ``resolve_stage``); a
+crossing-free node expands by one sorting slide (the sort rule,
+``sort_stage``); a sorted node is a leaf whose value the classifier
+reads off.  Every node is valued once per run: the memo is keyed by
+``dedup_key`` and lives for one ``run_pipeline`` call, so diamonds in
+the rewriting graph and repeated smoothings cost a lookup.  The walk is
+also the only place that writes trace records, spends the sort budget
+and counts work.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence
 
 from . import classifier, resolver, sorter
 from .diagram import Expression, SkeinDiagram, Term, dedup_key, validate
-from .errors import SkeinValidationError
+from .errors import SkeinValidationError, StepLimitExceeded
 from .laurent import BasisMonomial, LaurentPoly, SkeinPolynomial
 
 __all__ = [
     "dedup",
     "resolve_stage",
     "sort_stage",
-    "evaluate_stage",
     "run_pipeline",
 ]
 
@@ -37,90 +37,40 @@ def dedup(e: Expression) -> Expression:
 
     Two terms merge when their diagrams have equal canonical forms
     (sign tables included, after id renumbering) and equal auxiliary
-    counters.  Coefficients add; step counters keep the maximum so the
-    budget stays honest.  Output order is by canonical key, making the
-    result independent of input order.
+    counters.  Coefficients add.  Output order is by canonical key,
+    making the result independent of input order.
     """
     buckets: dict[tuple, Term] = {}
     for t in e:
         key = (dedup_key(t.diagram), t.aux_neg, t.aux_pos)
         prior = buckets.get(key)
-        if prior is None:
-            buckets[key] = t
-        else:
-            buckets[key] = replace(
-                prior,
-                coeff=prior.coeff + t.coeff,
-                steps=max(prior.steps, t.steps),
-            )
+        buckets[key] = t if prior is None else replace(prior, coeff=prior.coeff + t.coeff)
     return [t for _k, t in sorted(buckets.items(), key=lambda kv: kv[0]) if t.coeff]
 
 
-class _Trace:
-    def __init__(self, fh: TextIO):
-        self.fh = fh
-
-    def emit(self, record: dict) -> None:
-        self.fh.write(json.dumps(record) + "\n")
-
-
-def _make_mapper(pool: Optional[ThreadPoolExecutor]) -> Callable:
-    if pool is None:
-        return lambda f, xs: [f(x) for x in xs]
-    return lambda f, xs: list(pool.map(f, xs))
-
-
-def _resolve_one(t: Term, order: Optional[Sequence[int]]) -> tuple[list[Term], list[dict]]:
-    records: list[dict] = []
-    out: list[Term] = []
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        signs = cur.diagram.signs()
-        if not signs:
-            out.append(cur)
-            continue
-        cid = resolver._next_crossing(signs, order)
-        (l1, j1), (l2, j2) = resolver.locate_crossing(cur.diagram, cid)
-        records.append(
-            {
-                "stage": "resolve",
-                "crossing": cid,
-                "case": "split" if l1 == l2 else "merge",
-                "positions": [[l1, j1], [l2, j2]],
-                "shift_first": signs[cid],
-                "shift_second": -signs[cid],
-            }
-        )
-        stack.extend(resolver.resolve_crossing(cur, cid))
-    out.reverse()
-    return out, records
+def resolve_stage(t: Term, order: Optional[Sequence[int]]) -> tuple[list[Term], dict]:
+    """Crossing rule: the two smoothings of the crossing ``order`` picks
+    (the lowest id when ``order`` names none left), with its trace record."""
+    signs = t.diagram.signs()
+    cid = resolver._next_crossing(signs, order)
+    (l1, j1), (l2, j2) = resolver.locate_crossing(t.diagram, cid)
+    record = {
+        "stage": "resolve",
+        "crossing": cid,
+        "case": "split" if l1 == l2 else "merge",
+        "positions": [[l1, j1], [l2, j2]],
+        "shift_first": signs[cid],
+        "shift_second": -signs[cid],
+    }
+    return list(resolver.resolve_crossing(t, cid)), record
 
 
-def resolve_stage(
-    e: Expression,
-    order: Optional[Sequence[int]] = None,
-    mapper: Optional[Callable] = None,
-    trace: Optional[_Trace] = None,
-    stats: Optional[dict] = None,
-) -> Expression:
-    run = mapper or (lambda f, xs: [f(x) for x in xs])
-    results = run(lambda t: _resolve_one(t, order), e)
-    out: list[Term] = []
-    for terms, records in results:
-        out.extend(terms)
-        if trace:
-            for r in records:
-                trace.emit(r)
-    if stats is not None:
-        stats["resolved_terms"] = len(out)
-    return out
-
-
-def _sort_one(t: Term, max_steps: Optional[int]) -> tuple[Optional[list[Term]], Optional[dict]]:
+def sort_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
+    """Sort rule: one slide of a crossing-free term and its trace record,
+    or None when the term is sorted."""
     decision = sorter.next_decision(t.diagram)
     if decision is None:
-        return None, None
+        return None
     strand, choice = decision
     record = {
         "stage": "sort",
@@ -128,63 +78,7 @@ def _sort_one(t: Term, max_steps: Optional[int]) -> tuple[Optional[list[Term]], 
         "under": choice.under_height,
         "over": choice.over_height,
     }
-    return sorter.sort_step(t, max_steps, decision=decision), record
-
-
-def sort_stage(
-    e: Expression,
-    max_steps: Optional[int] = None,
-    mapper: Optional[Callable] = None,
-    trace: Optional[_Trace] = None,
-    stats: Optional[dict] = None,
-    aux: bool = False,
-    dedup_enabled: bool = True,
-) -> Expression:
-    run = mapper or (lambda f, xs: [f(x) for x in xs])
-    done: list[Term] = []
-    current = list(e)
-    rounds = 0
-    # sorted terms never unsort and never merge with unsorted ones (the
-    # canonical form preserves sortedness), so they are set aside as they
-    # appear and only the unsorted frontier is reworked each round
-    while current:
-        if aux:
-            current = [classifier.pluck_aux(t) for t in current]
-        results = run(lambda t: _sort_one(t, max_steps), current)
-        frontier: list[Term] = []
-        for term, (children, record) in zip(current, results):
-            if children is None:
-                done.append(term)
-                continue
-            if trace and record:
-                trace.emit(record)
-            frontier.extend(children)
-        if not frontier:
-            break
-        if dedup_enabled:
-            frontier = dedup(frontier)
-        rounds += 1
-        if trace:
-            trace.emit({"stage": "sort-round", "round": rounds, "terms": len(frontier)})
-        current = frontier
-    out = dedup(done) if dedup_enabled else done
-    if stats is not None:
-        stats["sort_rounds"] = rounds
-        stats["sorted_terms"] = len(out)
-    return out
-
-
-def evaluate_stage(e: Expression, delta_mode: str = "standard") -> SkeinPolynomial:
-    poly = classifier.evaluate(e, delta_mode)
-    return classifier.substitute_aux(poly)
-
-
-# basis value per crossing-free diagram, memoized across pipeline runs;
-# keys are (dedup_key, delta_mode, aux), values SkeinPolynomial.  The
-# table is wiped when it grows past the cap, which only costs re-derived
-# entries, never correctness.
-_VALUE_CACHE: dict[tuple, SkeinPolynomial] = {}
-_VALUE_CACHE_CAP = 200_000
+    return sorter.sort_step(t, decision=decision), record
 
 
 def _aux_factor(t: Term) -> Optional[SkeinPolynomial]:
@@ -194,62 +88,98 @@ def _aux_factor(t: Term) -> Optional[SkeinPolynomial]:
     return SkeinPolynomial({mono: LaurentPoly.one()})
 
 
-def _basis_value(d0: SkeinDiagram, delta_mode: str, aux: bool) -> SkeinPolynomial:
-    """Fully sorted value of a crossing-free diagram, coefficient one.
+def _basis_value(
+    d0: SkeinDiagram,
+    delta_mode: str,
+    aux: bool,
+    order: Optional[Sequence[int]] = None,
+    max_steps: Optional[int] = None,
+    emit: Optional[Callable[[dict], None]] = None,
+    stats: Optional[dict] = None,
+    memo: Optional[dict] = None,
+) -> SkeinPolynomial:
+    """Value of a validated diagram in the basis, before aux substitution.
 
-    Depth-first over the sorting tree with one cache entry per distinct
-    diagram (up to encoding orbit), so diamonds in the tree and repeats
-    across pipeline runs are computed once.  The sorting measure (strand
-    passes, then inversions) strictly decreases along edges, which makes
-    the walk finite and the table acyclic.
+    Depth-first with an explicit stack and one memo entry per distinct
+    diagram (up to encoding orbit).  Edges carry the smoothing or twist
+    coefficients and, with ``aux``, the auxiliary curves plucked from a
+    crossing-free child.  The measure (crossings, then strand passes,
+    then inversions) strictly decreases along every edge, so the walk is
+    finite and the memo acyclic.  A node's diagram and edges are dropped
+    as soon as it is valued.  ``max_steps`` caps the sort expansions of
+    the run.  ``memo`` maps keys to values already known; it is empty
+    unless the caller passes one.
     """
-    if len(_VALUE_CACHE) >= _VALUE_CACHE_CAP:
-        _VALUE_CACHE.clear()
-    key0 = (dedup_key(d0), delta_mode, aux)
-    cached = _VALUE_CACHE.get(key0)
-    if cached is not None:
-        return cached
-    reprs: dict[tuple, SkeinDiagram] = {key0: d0}
-    expansions: dict[tuple, list] = {}
-    stack = [key0]
+
+    one = LaurentPoly.one()
+    t0 = Term(one, d0)
+    if aux:
+        t0 = classifier.pluck_aux(t0)
+    if memo is None:
+        memo = {}
+    # every other node has a smaller measure, so the root needs no key
+    reprs: dict[Optional[tuple], SkeinDiagram] = {None: t0.diagram}
+    expansions: dict[Optional[tuple], list] = {}
+    crossings = sorts = 0
+    stack: list[Optional[tuple]] = [None]
     while stack:
         key = stack[-1]
-        if key in _VALUE_CACHE:
+        if key in memo:
             stack.pop()
             continue
-        exp = expansions.get(key)
-        if exp is None:
-            d = reprs[key]
-            children = sorter.sort_step(Term(coeff=LaurentPoly.one(), diagram=d))
-            if children is None:
-                _VALUE_CACHE[key] = classifier.evaluate(
-                    [Term(LaurentPoly.one(), d)], delta_mode
-                )
-                stack.pop()
-                continue
-            exp = []
+        edges = expansions.get(key)
+        if edges is None:
+            t = Term(one, reprs[key])
+            if t.diagram.sign_pairs:
+                children, record = resolve_stage(t, order)
+                crossings += 1
+            else:
+                step = sort_stage(t)
+                if step is None:
+                    memo[key] = classifier.evaluate([t], delta_mode)
+                    del reprs[key]
+                    stack.pop()
+                    continue
+                sorts += 1
+                if max_steps is not None and sorts > max_steps:
+                    raise StepLimitExceeded(f"sorting exceeded {max_steps} steps")
+                children, record = step
+            if emit is not None:
+                emit(record)
+            if aux:
+                children = [classifier.pluck_aux(ch) for ch in children]
+            edges = []
             pending = []
-            for ch in children:
-                if aux:
-                    ch = classifier.pluck_aux(ch)
-                ck = (dedup_key(ch.diagram), delta_mode, aux)
-                exp.append((ch.coeff, _aux_factor(ch), ck))
-                if ck not in _VALUE_CACHE and ck not in reprs:
-                    reprs[ck] = ch.diagram
+            for ch in dedup(children):
+                ck = dedup_key(ch.diagram)
+                edges.append((ch.coeff, _aux_factor(ch), ck))
+                if ck not in memo:
+                    # a child seen but not yet valued sits lower on the
+                    # stack; pushing it again values it first
+                    reprs.setdefault(ck, ch.diagram)
                     pending.append(ck)
-            expansions[key] = exp
+            expansions[key] = edges
             if pending:
                 stack.extend(pending)
                 continue
         total = SkeinPolynomial.zero()
-        for coeff, factor, ck in exp:
-            v = _VALUE_CACHE[ck].scaled(coeff)
+        for coeff, factor, ck in edges:
+            v = memo[ck].scaled(coeff)
             if factor is not None:
                 v = factor * v
             total = total + v
-        _VALUE_CACHE[key] = total
+        memo[key] = total
+        del reprs[key], expansions[key]
         stack.pop()
-    return _VALUE_CACHE[key0]
+    value = memo.pop(None)
+    if stats is not None:
+        stats.update(
+            nodes=len(memo) + 1,
+            crossing_expansions=crossings,
+            sort_expansions=sorts,
+        )
+    factor = _aux_factor(t0)
+    return value if factor is None else factor * value
 
 
 def run_pipeline(
@@ -259,62 +189,33 @@ def run_pipeline(
     aux_substitute: bool = False,
     order: Optional[Sequence[int]] = None,
     max_steps: Optional[int] = None,
-    threads: int = 1,
     trace_path: Optional[str] = None,
-    dedup_enabled: bool = True,
     stats: Optional[dict] = None,
 ) -> SkeinPolynomial:
-    """Resolve a validated diagram all the way to a basis polynomial."""
+    """Resolve a validated diagram all the way to a basis polynomial.
+
+    ``order`` lists crossing ids to expand first, ``max_steps`` caps the
+    sort expansions of the run (None: no cap), ``trace_path`` receives
+    one JSON record per expansion, and ``stats`` is filled with the
+    walk's counters and the run's seconds.
+    """
     violations = validate(d)
     if violations:
         raise SkeinValidationError(violations)
 
     started = time.perf_counter()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
-    trace = _Trace(trace_fh) if trace_fh else None
+    emit = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
     try:
-        mapper = _make_mapper(pool)
-        e: Expression = [Term(coeff=LaurentPoly.one(), diagram=d)]
-        if trace:
-            trace.emit({"stage": "start", "crossings": len(d.sign_pairs)})
-        e = resolve_stage(e, order=order, mapper=mapper, trace=trace, stats=stats)
-        if dedup_enabled:
-            e = dedup(e)
-        if stats is not None:
-            stats["terms_after_resolve_dedup"] = len(e)
-        if trace is None and max_steps is None:
-            # memoized per-diagram values; same result as the staged walk
-            # below, which stays in use when a trace or an explicit step
-            # budget asks for the step-by-step account
-            poly = SkeinPolynomial.zero()
-            for t in e:
-                if aux_substitute:
-                    t = classifier.pluck_aux(t)
-                v = _basis_value(t.diagram, delta_mode, aux_substitute)
-                factor = _aux_factor(t)
-                if factor is not None:
-                    v = factor * v
-                poly = poly + v.scaled(t.coeff)
-            poly = classifier.substitute_aux(poly)
-        else:
-            e = sort_stage(
-                e,
-                max_steps=max_steps,
-                mapper=mapper,
-                trace=trace,
-                stats=stats,
-                aux=aux_substitute,
-                dedup_enabled=dedup_enabled,
-            )
-            poly = evaluate_stage(e, delta_mode)
+        if emit:
+            emit({"stage": "start", "crossings": len(d.sign_pairs)})
+        poly = _basis_value(d, delta_mode, aux_substitute, order, max_steps, emit, stats)
+        poly = classifier.substitute_aux(poly)
         if stats is not None:
             stats["seconds"] = time.perf_counter() - started
-        if trace:
-            trace.emit({"stage": "done", "polynomial": poly.text()})
+        if emit:
+            emit({"stage": "done", "polynomial": poly.text()})
         return poly
     finally:
         if trace_fh:
             trace_fh.close()
-        if pool:
-            pool.shutdown()

@@ -11,7 +11,8 @@ relies on.
 
 The check functions re-run the whole pipeline under transformations
 that must not change the result: resolution-order permutations and the
-encoding symmetries (rotation, height relabeling, component order).
+encoding symmetries (rotation, reversal, height relabeling, component
+order).
 """
 
 from __future__ import annotations
@@ -29,10 +30,13 @@ from .diagram import (
     SkeinDiagram,
     StrandPass,
     relabel_heights,
+    reverse_component,
     rotate_component,
     serialize_diagram,
     validate,
 )
+from .arrayops import update_signs_on_reversal
+from .classifier import substitute_aux
 from .errors import InternalInvariantError
 from . import engine
 
@@ -272,14 +276,22 @@ def random_diagram_with_crossings(
 # metamorphic checks
 
 def check_confluence(d: SkeinDiagram, delta_mode: str = "standard") -> Optional[dict]:
-    """Pipeline output must not depend on the crossing resolution order."""
+    """Pipeline output must not depend on the crossing resolution order.
+
+    The orders share one memo for the values of crossing-free diagrams,
+    which no order can change; entries keyed with a sign table are
+    dropped after each order, so every order expands its crossings anew.
+    """
     ids = d.crossing_ids()
     if len(ids) > 5:
         raise ValueError("too many crossings for exhaustive order checking")
+    memo: dict = {}
     baseline = None
     baseline_order = None
     for perm in permutations(ids):
-        poly = engine.run_pipeline(d, delta_mode=delta_mode, order=list(perm))
+        poly = substitute_aux(engine._basis_value(d, delta_mode, False, list(perm), memo=memo))
+        for key in [k for k in memo if k[1]]:
+            del memo[key]
         if baseline is None:
             baseline, baseline_order = poly, perm
         elif poly != baseline:
@@ -302,6 +314,12 @@ def _variants(d: SkeinDiagram):
             comps = list(d.components)
             comps[li] = rotate_component(c, len(c) // 2)
             yield "rotate+half", SkeinDiagram.make(comps, d.signs())
+            # reversing a component's traversal flips the signs of the
+            # crossings it shares with other components
+            comps = list(d.components)
+            comps[li] = reverse_component(c)
+            signs = update_signs_on_reversal(d.signs(), c.entries)
+            yield "reverse", SkeinDiagram.make(comps, signs)
     used = {h for c in d.components for h in c.heights if h > 0}
     if used:
         yield "heights*2", relabel_heights(d, {h: 2 * h for h in used})
@@ -313,7 +331,7 @@ def _variants(d: SkeinDiagram):
 
 
 def check_encoding_invariance(d: SkeinDiagram, delta_mode: str = "standard") -> Optional[dict]:
-    """Rotations, relabelings, reorderings must leave the value alone."""
+    """Rotations, reversals, relabelings, reorderings must leave the value alone."""
     base = engine.run_pipeline(d, delta_mode=delta_mode)
     for name, variant in _variants(d):
         poly = engine.run_pipeline(variant, delta_mode=delta_mode)

@@ -75,14 +75,12 @@ def resolve_crossing(t: Term, cid: int) -> tuple[Term, Term]:
         diagram=SkeinDiagram.make(first_comps, first_signs),
         aux_neg=t.aux_neg,
         aux_pos=t.aux_pos,
-        steps=t.steps,
     )
     second = Term(
         coeff=t.coeff.shift(-sign),
         diagram=SkeinDiagram.make(second_comps, second_signs),
         aux_neg=t.aux_neg,
         aux_pos=t.aux_pos,
-        steps=t.steps,
     )
     return first, second
 

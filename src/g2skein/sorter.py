@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import replace
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import resolver
 from .diagram import (
@@ -27,7 +27,7 @@ from .diagram import (
     Term,
     rotate_component,
 )
-from .errors import InternalInvariantError, StepLimitExceeded
+from .errors import InternalInvariantError
 from .laurent import LaurentPoly
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "induce_crossings",
     "sort_step",
     "sort_expression",
-    "default_step_budget",
 ]
 
 
@@ -51,10 +50,6 @@ class StrandPartition(NamedTuple):
 
     over: tuple
     under: tuple
-
-    @property
-    def all_heights(self) -> tuple:
-        return tuple(sorted(self.over + self.under))
 
 
 class SwapChoice(NamedTuple):
@@ -264,23 +259,16 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
 # ---------------------------------------------------------------------------
 # the sorting loop
 
-def default_step_budget(d: SkeinDiagram) -> int:
-    m = d.strand_pass_count()
-    return 4 * m * m
-
-
 def sort_step(
     t: Term,
-    max_steps: int | None = None,
     decision: Optional[tuple[int, SwapChoice]] = None,
 ) -> Optional[list[Term]]:
     """One slide on the first unsorted strand; None when nothing to do.
 
-    Children carry an incremented step counter; exceeding the budget
-    raises instead of silently truncating.  Every child must come back
-    with strictly fewer inversions (or strictly fewer strand passes)
-    than the parent, otherwise the progress monitor aborts.  A caller
-    that already ran ``next_decision`` can pass the result along.
+    Every child must come back with strictly fewer inversions (or
+    strictly fewer strand passes) than the parent, otherwise the
+    progress monitor aborts.  A caller that already ran
+    ``next_decision`` can pass the result along.
     """
     d = t.diagram
     if d.sign_pairs:
@@ -291,17 +279,10 @@ def sort_step(
         return None
     _strand, choice = decision
 
-    budget = max_steps if max_steps is not None else default_step_budget(d)
-    if t.steps + 1 > budget:
-        raise StepLimitExceeded(
-            f"sorting exceeded {budget} steps for one term"
-        )
-
     before_inv = inversion_count(d)
     before_passes = d.strand_pass_count()
 
     staged = induce_crossings(t, choice.under_height, choice.over_height)
-    staged = replace(staged, steps=t.steps + 1)
     pending = [staged]
     for cid in sorted(staged.diagram.signs()):
         nxt = []
@@ -318,32 +299,21 @@ def sort_step(
     return pending
 
 
-def sort_expression(
-    e: Expression,
-    *,
-    max_steps: int | None = None,
-    compact: Callable[[Expression], Expression] | None = None,
-    mapper: Callable | None = None,
-) -> Expression:
+def sort_expression(e: Expression) -> Expression:
     """Run sort_step to a fixed point over the whole expression.
 
-    ``compact`` (typically deduplication) is applied after every round;
-    ``mapper`` lets the caller parallelize the per-term steps.
+    No deduplication and no memo: the plain reference the memoized walk
+    in ``engine`` is checked against.
     """
-    run = mapper if mapper is not None else lambda f, xs: [f(x) for x in xs]
+    done: list[Term] = []
     current = list(e)
-    while True:
-        results = run(lambda term: sort_step(term, max_steps), current)
-        nxt: list[Term] = []
-        dirty = False
-        for term, children in zip(current, results):
+    while current:
+        frontier: list[Term] = []
+        for term in current:
+            children = sort_step(term)
             if children is None:
-                nxt.append(term)
+                done.append(term)
             else:
-                dirty = True
-                nxt.extend(children)
-        if compact is not None:
-            nxt = compact(nxt)
-        if not dirty:
-            return nxt
-        current = nxt
+                frontier.extend(children)
+        current = frontier
+    return done

@@ -11,17 +11,24 @@ import pytest
 import g2skein
 from g2skein import Term, parse_diagram, serialize_diagram
 from g2skein.diagram import SkeinDiagram, relabel_heights, rotate_component
-from g2skein.engine import dedup, evaluate_stage, run_pipeline, sort_stage
+from g2skein.classifier import evaluate, substitute_aux
+from g2skein.engine import dedup, run_pipeline
 from g2skein.errors import SkeinValidationError, StepLimitExceeded
 from g2skein.laurent import BasisMonomial, LaurentPoly
 from g2skein.oracle import random_diagram
 from g2skein.resolver import resolve_all
+from g2skein.sorter import sort_expression
 
 from conftest import TWO_CROSSING_DOC, UNKNOT_DOC, doc_text
 
 
 def one_term(d, coeff=None):
     return Term(coeff=coeff or LaurentPoly.one(), diagram=d)
+
+
+def naive_value(d):
+    """Every smoothing, every sort step, no dedup and no memo."""
+    return substitute_aux(evaluate(sort_expression(resolve_all([one_term(d)]))))
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +70,10 @@ def test_dedup_keeps_aux_counters_apart(y_neg):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_dedup_preserves_value(seed):
+    """The walk (children merged by dedup, values memoized) against the
+    naive reference that keeps every term apart."""
     d = random_diagram(seed, max_components=2, max_self_crossings=2)
-    e = resolve_all([one_term(d)])
-    with_dedup = evaluate_stage(sort_stage(list(e), dedup_enabled=True))
-    without = evaluate_stage(sort_stage(list(e), dedup_enabled=False))
-    assert with_dedup == without
+    assert run_pipeline(d) == naive_value(d)
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +126,23 @@ def test_aux_substitute_matches_direct(y_neg, y_pos, two_crossing):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_staged_path_agrees_with_fast_path(seed):
+def test_staged_path_agrees_with_fast_path(seed, tmp_path):
+    """A run that records every stage to a trace under a step budget
+    prints byte-identical output to a plain run."""
     d = random_diagram(seed, max_components=2, max_self_crossings=2)
-    fast = run_pipeline(d)
-    staged = run_pipeline(d, max_steps=10_000)
-    assert staged == fast
+    plain = run_pipeline(d)
+    traced = run_pipeline(d, max_steps=10_000, trace_path=str(tmp_path / "t.jsonl"))
+    assert traced.text() == plain.text()
+    assert json.dumps(traced.to_json_obj()) == json.dumps(plain.to_json_obj())
 
 
-def test_threads_give_identical_output(two_component):
-    single = run_pipeline(two_component, threads=1, max_steps=10_000)
-    multi = run_pipeline(two_component, threads=4, max_steps=10_000)
-    assert single.text() == multi.text()
+def test_runs_share_no_memo(two_crossing):
+    first, second = {}, {}
+    run_pipeline(two_crossing, stats=first)
+    run_pipeline(two_crossing, stats=second)
+    first.pop("seconds"), second.pop("seconds")
+    assert first == second
+    assert first["sort_expansions"] > 0
 
 
 def test_step_limit_propagates(y_neg):
@@ -147,16 +159,21 @@ def test_invalid_diagram_rejected(y_neg):
 def test_stats_and_trace(tmp_path, two_crossing):
     stats = {}
     trace_file = tmp_path / "trace.jsonl"
-    out = run_pipeline(
-        two_crossing, max_steps=10_000, trace_path=str(trace_file), stats=stats
-    )
+    out = run_pipeline(two_crossing, trace_path=str(trace_file), stats=stats)
     assert out.text() == "(1 + -1*t^4)*x*z^2 + (-1*t^-4)*x + (-1*t^6)*y*z"
-    assert stats["resolved_terms"] == 4
-    assert stats["terms_after_resolve_dedup"] <= 4
-    assert stats["seconds"] >= 0
+    assert stats.pop("seconds") >= 0
+    assert stats == {
+        "nodes": 27,
+        "crossing_expansions": 3,
+        "sort_expansions": 10,
+    }
     lines = [json.loads(l) for l in trace_file.read_text().splitlines()]
-    assert lines
-    assert {l["stage"] for l in lines} >= {"start", "resolve", "sort", "done"}
+    stages = [l["stage"] for l in lines]
+    assert stages[0] == "start" and stages[-1] == "done"
+    assert stages.count("resolve") == stats["crossing_expansions"]
+    assert stages.count("sort") == stats["sort_expansions"]
+    assert len(stages) == 2 + 3 + 10
+    assert lines[-1]["polynomial"] == out.text()
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +257,4 @@ def test_cli_bench_runs(tmp_path):
     r = run_cli("bench", "--crossings", "3", "--seed", "3", cwd=str(tmp_path))
     assert r.returncode == 0, r.stderr
     assert "wall time" in r.stdout
+    assert "sort expansions" in r.stdout

@@ -17,7 +17,6 @@ from g2skein.oracle import random_diagram
 from g2skein.resolver import resolve_all
 from g2skein.sorter import (
     StrandPartition,
-    default_step_budget,
     induce_crossings,
     induction_decision,
     inversion_count,
@@ -28,6 +27,8 @@ from g2skein.sorter import (
     sort_expression,
     sort_step,
 )
+
+from conftest import TWO_CROSSING_DOC, Y_NEG_DOC
 
 
 def parse(doc):
@@ -122,17 +123,19 @@ def test_sort_expression_structure():
     assert coeffs == ["-1*t^-2", "-1*t^-4"]
 
 
-def test_step_budget_scales_with_passes(two_crossing):
-    small = parse({"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}})
-    assert default_step_budget(small) == 16
-    # six strand passes in the fixture; crossings do not count
-    assert default_step_budget(two_crossing) == 4 * 6 * 6
-
-
 def test_step_limit_fires():
-    d = parse({"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}})
-    with pytest.raises(StepLimitExceeded):
-        sort_expression([term(d)], max_steps=0)
+    """The budget counts sort expansions per run: exactly the number a
+    run spends is enough, one fewer raises."""
+    swap = {"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}}
+    for doc in (swap, Y_NEG_DOC, TWO_CROSSING_DOC):
+        d = parse(doc)
+        stats = {}
+        run_pipeline(d, stats=stats)
+        spent = stats["sort_expansions"]
+        assert spent > 0
+        run_pipeline(d, max_steps=spent)
+        with pytest.raises(StepLimitExceeded):
+            run_pipeline(d, max_steps=spent - 1)
 
 
 def test_sort_step_preserves_value():
