@@ -20,7 +20,6 @@ from .diagram import (
     SkeinDiagram,
     StrandPass,
     Term,
-    canonical_form,
     parse_diagram,
     serialize_diagram,
     validate,
@@ -45,7 +44,6 @@ __all__ = [
     "StepLimitExceeded",
     "StrandPass",
     "Term",
-    "canonical_form",
     "dedup",
     "parse_diagram",
     "run_pipeline",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence, TypeVar
 
-from .diagram import Component, PassEntry, SelfPass
+from .diagram import Component, PassEntry, SelfPass, _flip_orient
 from .errors import InternalInvariantError
 
 T = TypeVar("T")
@@ -84,15 +84,7 @@ def flip_q_codes(codes: Sequence[int], entries: Sequence[PassEntry]) -> list[int
     """Direction-flip a Q section; the E section disambiguates code 4."""
     if len(codes) != len(entries):
         raise InternalInvariantError("Q/E section length mismatch")
-    out = []
-    for q, e in zip(codes, entries):
-        if isinstance(e, SelfPass):
-            out.append(0)
-        elif e.strand == 1:
-            out.append(7 - q)
-        else:
-            out.append(9 - q)
-    return out
+    return [_flip_orient(e, q) for e, q in zip(entries, codes)]
 
 
 def update_signs_on_reversal(

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 unparseable or invalid input, 2 internal
-invariant violation (including fuzz counterexamples), 3 sorting step
-limit exceeded.
+Exit codes: 0 success, 1 unparseable or invalid input or a usage error,
+2 internal invariant violation (including fuzz counterexamples), 3
+sorting step limit exceeded.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     d = parse_diagram(_read(args.file))
     poly = engine.run_pipeline(
         d,
-        delta_mode=args.delta,
-        aux_substitute=args.aux_substitute,
         order=_parse_order(args.order),
         max_steps=args.max_steps,
         trace_path=args.trace,
@@ -118,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="run the full pipeline on a diagram file")
     p.add_argument("file")
-    p.add_argument("--delta", choices=["standard", "positive", "symbolic"], default="standard")
-    p.add_argument("--aux-substitute", action="store_true")
     p.add_argument("--order", help="comma-separated crossing ids")
     p.add_argument("--max-steps", type=int, default=None, help="cap on sort expansions per run")
     p.add_argument("--trace", help="write a line-delimited step trace to this file")
@@ -143,7 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 is kept for internal bugs
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (SkeinFormatError, SkeinValidationError) as exc:

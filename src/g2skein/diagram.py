@@ -1,4 +1,4 @@
-"""Skein data model: pass arrays, validation, serialization, canonical form.
+"""Skein data model: pass arrays, validation, serialization, canonical key.
 
 A diagram lives in a genus-2 handlebody pictured as a thickened disk with
 two vertical base strands (strand 1 on the left, strand 2 on the right).
@@ -43,7 +43,6 @@ __all__ = [
     "rotate_component",
     "reverse_component",
     "relabel_heights",
-    "canonical_form",
     "dedup_key",
 ]
 
@@ -123,7 +122,7 @@ class SkeinDiagram:
 
     components: tuple[Component, ...]
     sign_pairs: tuple[tuple[int, int], ...]
-    # per-object scratch cache for derived data (canonical form, pooled
+    # per-object scratch cache for derived data (canonical key, pooled
     # heights); excluded from equality and hashing, mutated in place
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -147,16 +146,10 @@ class SkeinDiagram:
 
 @dataclass(frozen=True)
 class Term:
-    """One summand of the evolving expression.
-
-    ``aux_neg`` / ``aux_pos`` count auxiliary-curve factors plucked out
-    of the diagram by the optional recognition fast path.
-    """
+    """One summand of the evolving expression."""
 
     coeff: LaurentPoly
     diagram: SkeinDiagram
-    aux_neg: int = 0
-    aux_pos: int = 0
 
 
 Expression = list
@@ -248,13 +241,8 @@ def _entry_orient_ok(entry: PassEntry, q: int) -> bool:
     return q in (4, 5)
 
 
-def validate(d: SkeinDiagram, *, allow_zero_heights: bool = False) -> list[str]:
-    """Check every structural rule; the returned list is empty when valid.
-
-    ``allow_zero_heights`` switches on the mid-pipeline relaxation: a
-    self-crossing branch may carry the placeholder height 0.  Input
-    documents never get that allowance.
-    """
+def validate(d: SkeinDiagram) -> list[str]:
+    """Check every structural rule; the returned list is empty when valid."""
     out: list[str] = []
     for li, c in enumerate(d.components):
         if not (len(c.entries) == len(c.heights) == len(c.orients)):
@@ -269,7 +257,7 @@ def validate(d: SkeinDiagram, *, allow_zero_heights: bool = False) -> list[str]:
                 out.append(f"bad orientation code at component {li} entry {j}")
             if h < 0:
                 out.append(f"negative height at component {li} entry {j}")
-            elif h == 0 and not (allow_zero_heights and isinstance(entry, SelfPass)):
+            elif h == 0:
                 out.append(f"zero height at component {li} entry {j}")
 
     # pair up self-crossing branches
@@ -366,17 +354,7 @@ def relabel_heights(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram
 
 
 # ---------------------------------------------------------------------------
-# canonical form
-
-def _rank_heights(d: SkeinDiagram) -> SkeinDiagram:
-    used = sorted({h for c in d.components for h in c.heights if h > 0})
-    rank = {h: i + 1 for i, h in enumerate(used)}
-    comps = [
-        Component(c.entries, tuple(rank[h] if h > 0 else 0 for h in c.heights), c.orients)
-        for c in d.components
-    ]
-    return SkeinDiagram.make(comps, d.signs())
-
+# canonical key
 
 def _blind_code(entry: PassEntry) -> int:
     # crossing ids are erased here; the shared height in I keeps branch
@@ -384,56 +362,6 @@ def _blind_code(entry: PassEntry) -> int:
     if isinstance(entry, StrandPass):
         return (0 if entry.over else 2) + (entry.strand - 1)
     return 4 if entry.over else 5
-
-
-def _component_key(c: Component) -> tuple:
-    return (tuple(_blind_code(e) for e in c.entries), c.heights, c.orients)
-
-
-def _best_rotation(c: Component, reversible: bool) -> Component:
-    """Least rotation of c, or of c traversed backwards when ``reversible``."""
-    if not c.entries:
-        return c
-    ways = (c, reverse_component(c)) if reversible else (c,)
-    return min((rotate_component(w, k) for w in ways for k in range(len(c))), key=_component_key)
-
-
-def canonical_form(d: SkeinDiagram) -> SkeinDiagram:
-    """Deterministic representative of a diagram's encoding orbit.
-
-    Heights are compressed to 1..m, each component is rotated to its
-    least comparison key, components are sorted, and crossing ids are
-    renumbered in order of first appearance.  Idempotent, and constant
-    under rotation, order-preserving height relabeling, component
-    permutation and id renumbering, which is what term deduplication
-    needs.  In a crossing-free diagram each component is also read in
-    whichever direction gives the lesser key: the curves are unoriented,
-    and only crossing signs depend on the direction.
-    """
-    cached = d._memo.get("canon")
-    if cached is not None:
-        return cached
-    ranked = _rank_heights(d)
-    reversible = not d.sign_pairs
-    comps = sorted((_best_rotation(c, reversible) for c in ranked.components), key=_component_key)
-    renumber: dict[int, int] = {}
-    new_comps = []
-    for c in comps:
-        ents = []
-        for e in c.entries:
-            if isinstance(e, SelfPass):
-                if e.crossing not in renumber:
-                    renumber[e.crossing] = len(renumber) + 1
-                ents.append(SelfPass(renumber[e.crossing], e.over))
-            else:
-                ents.append(e)
-        new_comps.append(Component(tuple(ents), c.heights, c.orients))
-    old_signs = d.signs()
-    new_signs = {new: old_signs[old] for old, new in renumber.items()}
-    result = SkeinDiagram.make(new_comps, new_signs)
-    result._memo["canon"] = result
-    d._memo["canon"] = result
-    return result
 
 
 def _least_rotation(codes: tuple, rh: tuple, q: tuple, ents: tuple) -> tuple:
@@ -455,14 +383,15 @@ def _least_rotation(codes: tuple, rh: tuple, q: tuple, ents: tuple) -> tuple:
 
 
 def dedup_key(d: SkeinDiagram) -> tuple:
-    """Totally ordered value identifying the diagram's canonical form.
+    """Totally ordered value naming the diagram's encoding orbit.
 
-    Two diagrams get equal keys exactly when their canonical forms are
-    equal, and keys of any two diagrams compare without type errors, so
-    the key serves both for bucketing and for deterministic ordering.
-    Computed straight from integer tuples; building the canonical
-    diagram itself costs far more and is only worth it when the caller
-    wants the object back.
+    Two diagrams get equal keys exactly when one re-encodes the other:
+    heights relabeled order-preservingly, components rotated or
+    reordered, crossing ids renumbered, and in a crossing-free diagram
+    components traversed backwards (the curves are unoriented; only
+    crossing signs depend on the direction).  Keys of any two diagrams
+    compare without type errors, so the key serves both for bucketing
+    and for deterministic ordering.
     """
     cached = d._memo.get("key")
     if cached is not None:

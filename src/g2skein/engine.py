@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 from . import classifier, resolver, sorter
 from .diagram import Expression, SkeinDiagram, Term, dedup_key, validate
 from .errors import SkeinValidationError, StepLimitExceeded
-from .laurent import BasisMonomial, LaurentPoly, SkeinPolynomial
+from .laurent import LaurentPoly, SkeinPolynomial
 
 __all__ = [
     "dedup",
@@ -35,14 +35,13 @@ __all__ = [
 def dedup(e: Expression) -> Expression:
     """Merge terms that draw the same skein; drop exact cancellations.
 
-    Two terms merge when their diagrams have equal canonical forms
-    (sign tables included, after id renumbering) and equal auxiliary
-    counters.  Coefficients add.  Output order is by canonical key,
-    making the result independent of input order.
+    Two terms merge when their diagrams have equal ``dedup_key``s (sign
+    tables included, after id renumbering).  Coefficients add.  Output
+    order is by key, making the result independent of input order.
     """
     buckets: dict[tuple, Term] = {}
     for t in e:
-        key = (dedup_key(t.diagram), t.aux_neg, t.aux_pos)
+        key = dedup_key(t.diagram)
         prior = buckets.get(key)
         buckets[key] = t if prior is None else replace(prior, coeff=prior.coeff + t.coeff)
     return [t for _k, t in sorted(buckets.items(), key=lambda kv: kv[0]) if t.coeff]
@@ -81,30 +80,20 @@ def sort_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
     return sorter.sort_step(t, decision=decision), record
 
 
-def _aux_factor(t: Term) -> Optional[SkeinPolynomial]:
-    if not t.aux_neg and not t.aux_pos:
-        return None
-    mono = BasisMonomial(aux_neg=t.aux_neg, aux_pos=t.aux_pos)
-    return SkeinPolynomial({mono: LaurentPoly.one()})
-
-
 def _basis_value(
     d0: SkeinDiagram,
-    delta_mode: str,
-    aux: bool,
     order: Optional[Sequence[int]] = None,
     max_steps: Optional[int] = None,
     emit: Optional[Callable[[dict], None]] = None,
     stats: Optional[dict] = None,
     memo: Optional[dict] = None,
 ) -> SkeinPolynomial:
-    """Value of a validated diagram in the basis, before aux substitution.
+    """Value of a validated diagram in the basis.
 
     Depth-first with an explicit stack and one memo entry per distinct
     diagram (up to encoding orbit).  Edges carry the smoothing or twist
-    coefficients and, with ``aux``, the auxiliary curves plucked from a
-    crossing-free child.  The measure (crossings, then strand passes,
-    then inversions) strictly decreases along every edge, so the walk is
+    coefficients.  The measure (crossings, then strand passes, then
+    inversions) strictly decreases along every edge, so the walk is
     finite and the memo acyclic.  A node's diagram and edges are dropped
     as soon as it is valued.  ``max_steps`` caps the sort expansions of
     the run.  ``memo`` maps keys to values already known; it is empty
@@ -112,13 +101,10 @@ def _basis_value(
     """
 
     one = LaurentPoly.one()
-    t0 = Term(one, d0)
-    if aux:
-        t0 = classifier.pluck_aux(t0)
     if memo is None:
         memo = {}
     # every other node has a smaller measure, so the root needs no key
-    reprs: dict[Optional[tuple], SkeinDiagram] = {None: t0.diagram}
+    reprs: dict[Optional[tuple], SkeinDiagram] = {None: d0}
     expansions: dict[Optional[tuple], list] = {}
     crossings = sorts = 0
     stack: list[Optional[tuple]] = [None]
@@ -136,7 +122,7 @@ def _basis_value(
             else:
                 step = sort_stage(t)
                 if step is None:
-                    memo[key] = classifier.evaluate([t], delta_mode)
+                    memo[key] = classifier.evaluate([t])
                     del reprs[key]
                     stack.pop()
                     continue
@@ -146,13 +132,11 @@ def _basis_value(
                 children, record = step
             if emit is not None:
                 emit(record)
-            if aux:
-                children = [classifier.pluck_aux(ch) for ch in children]
             edges = []
             pending = []
             for ch in dedup(children):
                 ck = dedup_key(ch.diagram)
-                edges.append((ch.coeff, _aux_factor(ch), ck))
+                edges.append((ch.coeff, ck))
                 if ck not in memo:
                     # a child seen but not yet valued sits lower on the
                     # stack; pushing it again values it first
@@ -163,11 +147,8 @@ def _basis_value(
                 stack.extend(pending)
                 continue
         total = SkeinPolynomial.zero()
-        for coeff, factor, ck in edges:
-            v = memo[ck].scaled(coeff)
-            if factor is not None:
-                v = factor * v
-            total = total + v
+        for coeff, ck in edges:
+            total = total + memo[ck].scaled(coeff)
         memo[key] = total
         del reprs[key], expansions[key]
         stack.pop()
@@ -178,15 +159,12 @@ def _basis_value(
             crossing_expansions=crossings,
             sort_expansions=sorts,
         )
-    factor = _aux_factor(t0)
-    return value if factor is None else factor * value
+    return value
 
 
 def run_pipeline(
     d: SkeinDiagram,
     *,
-    delta_mode: str = "standard",
-    aux_substitute: bool = False,
     order: Optional[Sequence[int]] = None,
     max_steps: Optional[int] = None,
     trace_path: Optional[str] = None,
@@ -209,8 +187,7 @@ def run_pipeline(
     try:
         if emit:
             emit({"stage": "start", "crossings": len(d.sign_pairs)})
-        poly = _basis_value(d, delta_mode, aux_substitute, order, max_steps, emit, stats)
-        poly = classifier.substitute_aux(poly)
+        poly = _basis_value(d, order, max_steps, emit, stats)
         if stats is not None:
             stats["seconds"] = time.perf_counter() - started
         if emit:

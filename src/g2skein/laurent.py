@@ -2,8 +2,8 @@
 
 Coefficients throughout the engine are Laurent polynomials in a single
 variable t with integer coefficients.  Final results are linear
-combinations of basis monomials x^a y^b z^c unknot^d with Laurent
-coefficients; ``SkeinPolynomial`` holds such a combination.
+combinations of basis monomials x^a y^b z^c with Laurent coefficients;
+``SkeinPolynomial`` holds such a combination.
 
 Everything here is immutable.  Arithmetic returns new objects and never
 keeps zero coefficients around.
@@ -122,30 +122,20 @@ class LaurentPoly:
         return self.text()
 
 
-# factor names in rendering order; the two aux factors only ever appear in
-# intermediate values (substitution removes them before output)
-_FACTOR_NAMES = ("x", "y", "z", "unknot", "aux1", "aux2")
+# factor names in rendering order
+_FACTOR_NAMES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
 class BasisMonomial:
-    """Product of basis curves: x^x y^y z^z unknot^unknot, all powers >= 0.
-
-    ``aux_neg`` and ``aux_pos`` count the two auxiliary curves that the
-    substitution step expands (the one with the negative-exponent
-    expansion and the one with the positive-exponent expansion).  They
-    stay zero unless aux recognition is switched on.
-    """
+    """Product of basis curves: x^x y^y z^z, all powers >= 0."""
 
     x: int = 0
     y: int = 0
     z: int = 0
-    unknot: int = 0
-    aux_neg: int = 0
-    aux_pos: int = 0
 
-    def powers(self) -> tuple[int, int, int, int, int, int]:
-        return (self.x, self.y, self.z, self.unknot, self.aux_neg, self.aux_pos)
+    def powers(self) -> tuple[int, int, int]:
+        return (self.x, self.y, self.z)
 
     def __mul__(self, other: "BasisMonomial") -> "BasisMonomial":
         if not isinstance(other, BasisMonomial):
@@ -275,7 +265,9 @@ class SkeinPolynomial:
                         "x": mono.x,
                         "y": mono.y,
                         "z": mono.z,
-                        "unknot": mono.unknot,
+                        # trivial loops are folded into the coefficient;
+                        # the field stays for readers of the format
+                        "unknot": 0,
                     },
                     "coeff": [[e, c] for e, c in coeff.terms],
                 }

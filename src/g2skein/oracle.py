@@ -36,7 +36,6 @@ from .diagram import (
     validate,
 )
 from .arrayops import update_signs_on_reversal
-from .classifier import substitute_aux
 from .errors import InternalInvariantError
 from . import engine
 
@@ -275,7 +274,7 @@ def random_diagram_with_crossings(
 # ---------------------------------------------------------------------------
 # metamorphic checks
 
-def check_confluence(d: SkeinDiagram, delta_mode: str = "standard") -> Optional[dict]:
+def check_confluence(d: SkeinDiagram) -> Optional[dict]:
     """Pipeline output must not depend on the crossing resolution order.
 
     The orders share one memo for the values of crossing-free diagrams,
@@ -289,7 +288,7 @@ def check_confluence(d: SkeinDiagram, delta_mode: str = "standard") -> Optional[
     baseline = None
     baseline_order = None
     for perm in permutations(ids):
-        poly = substitute_aux(engine._basis_value(d, delta_mode, False, list(perm), memo=memo))
+        poly = engine._basis_value(d, list(perm), memo=memo)
         for key in [k for k in memo if k[1]]:
             del memo[key]
         if baseline is None:
@@ -330,11 +329,11 @@ def _variants(d: SkeinDiagram):
         )
 
 
-def check_encoding_invariance(d: SkeinDiagram, delta_mode: str = "standard") -> Optional[dict]:
+def check_encoding_invariance(d: SkeinDiagram) -> Optional[dict]:
     """Rotations, reversals, relabelings, reorderings must leave the value alone."""
-    base = engine.run_pipeline(d, delta_mode=delta_mode)
+    base = engine.run_pipeline(d)
     for name, variant in _variants(d):
-        poly = engine.run_pipeline(variant, delta_mode=delta_mode)
+        poly = engine.run_pipeline(variant)
         if poly != base:
             return {
                 "property": "encoding-invariance",

@@ -73,14 +73,10 @@ def resolve_crossing(t: Term, cid: int) -> tuple[Term, Term]:
     first = Term(
         coeff=t.coeff.shift(sign),
         diagram=SkeinDiagram.make(first_comps, first_signs),
-        aux_neg=t.aux_neg,
-        aux_pos=t.aux_pos,
     )
     second = Term(
         coeff=t.coeff.shift(-sign),
         diagram=SkeinDiagram.make(second_comps, second_signs),
-        aux_neg=t.aux_neg,
-        aux_pos=t.aux_pos,
     )
     return first, second
 

@@ -1,4 +1,4 @@
-"""Winding numbers, loop classification, and the basis substitutions."""
+"""Winding numbers, loop classification, and folding trivial loops."""
 
 import json
 
@@ -8,8 +8,6 @@ from g2skein import Term, parse_diagram
 from g2skein import classifier
 from g2skein.errors import InternalInvariantError
 from g2skein.laurent import BasisMonomial, LaurentPoly, SkeinPolynomial
-
-from conftest import Y_NEG_DOC, Y_POS_DOC, doc_text
 
 
 def comp(e, i, q, u=None):
@@ -58,18 +56,26 @@ def test_term_to_monomial():
     assert co == LaurentPoly.monomial(-2, -1)
 
     empty = diagram(([], [], []))
-    mono2, _ = classifier.term_to_monomial(Term(coeff=LaurentPoly.one(), diagram=empty))
-    assert mono2 == BasisMonomial(unknot=1)
+    mono2, co2 = classifier.term_to_monomial(Term(coeff=LaurentPoly.one(), diagram=empty))
+    assert mono2 == BasisMonomial()
+    assert co2 == classifier.DELTA
+
+    # an x loop beside two trivial loops, one of them passing a strand
+    mixed = diagram((["O1", "U1"], [1, 2], [3, 4]), ([], [], []), (["O1", "O1"], [3, 4], [3, 4]))
+    mono3, co3 = classifier.term_to_monomial(Term(coeff=LaurentPoly.monomial(1), diagram=mixed))
+    assert mono3 == BasisMonomial(x=1)
+    assert co3 == LaurentPoly.monomial(1) * classifier.DELTA * classifier.DELTA
 
 
 def test_evaluate_folds_unknots_by_delta_mode():
     t = Term(coeff=LaurentPoly.one(), diagram=diagram(([], [], [])))
     assert classifier.evaluate([t]).text() == "(-1*t^-2 + -1*t^2)"
-    assert classifier.evaluate([t], "positive").text() == "(1*t^-2 + 1*t^2)"
-    sym = classifier.evaluate([t], "symbolic")
-    assert sym.coefficient(BasisMonomial(unknot=1)) == LaurentPoly.one()
-    with pytest.raises(ValueError):
-        classifier.evaluate([t], "other")
+    # k trivial loops fold to DELTA^k in the coefficient of the empty monomial
+    power = LaurentPoly.one()
+    for k in range(4):
+        loops = Term(coeff=LaurentPoly.one(), diagram=diagram(*[([], [], [])] * k))
+        assert classifier.evaluate([loops]) == SkeinPolynomial({BasisMonomial(): power})
+        power = power * classifier.DELTA
 
 
 def test_evaluate_empty_expression_is_zero():
@@ -83,45 +89,3 @@ def test_evaluate_merges_terms():
         Term(coeff=LaurentPoly.monomial(-2, 1), diagram=x),
     ]
     assert classifier.evaluate(e).is_zero()
-
-
-def test_recognize_aux_templates():
-    neg = parse_diagram(doc_text(Y_NEG_DOC)).components[0]
-    pos = parse_diagram(doc_text(Y_POS_DOC)).components[0]
-    assert classifier.recognize_aux(neg) == "neg"
-    assert classifier.recognize_aux(pos) == "pos"
-    # recognition is rotation-proof
-    from g2skein.diagram import reverse_component, rotate_component
-
-    assert classifier.recognize_aux(rotate_component(neg, 2)) == "neg"
-    assert classifier.recognize_aux(reverse_component(pos)) == "pos"
-    # the plain basis loops are not aux curves
-    assert classifier.recognize_aux(comp(["O1", "O2", "U2", "U1"], [1, 3, 4, 2], [3, 4, 5, 4])) is None
-    assert classifier.recognize_aux(comp(["O1", "U1"], [1, 2], [3, 4])) is None
-
-
-def test_pluck_aux_moves_component_to_counter():
-    t = Term(coeff=LaurentPoly.one(), diagram=parse_diagram(doc_text(Y_NEG_DOC)))
-    plucked = classifier.pluck_aux(t)
-    assert (plucked.aux_neg, plucked.aux_pos) == (1, 0)
-    assert plucked.diagram.components == ()
-    mono, _ = classifier.term_to_monomial(plucked)
-    assert mono == BasisMonomial(aux_neg=1)
-
-
-def test_substitute_aux_expansions():
-    sp = SkeinPolynomial.zero().accumulate(BasisMonomial(aux_neg=1), LaurentPoly.one())
-    assert classifier.substitute_aux(sp).text() == "(-1*t^-2)*x*z + (-1*t^-4)*y"
-    sp2 = SkeinPolynomial.zero().accumulate(BasisMonomial(aux_pos=1), LaurentPoly.one())
-    assert classifier.substitute_aux(sp2).text() == "(-1*t^2)*x*z + (-1*t^4)*y"
-    plain = SkeinPolynomial.zero().accumulate(BasisMonomial(x=2), LaurentPoly.one())
-    assert classifier.substitute_aux(plain) == plain
-
-
-def test_substitute_aux_distributes_over_powers():
-    sp = SkeinPolynomial.zero().accumulate(BasisMonomial(aux_neg=2), LaurentPoly.one())
-    out = classifier.substitute_aux(sp)
-    # (-t^-2 xz - t^-4 y)^2
-    assert out.coefficient(BasisMonomial(x=2, z=2)) == LaurentPoly.monomial(-4)
-    assert out.coefficient(BasisMonomial(x=1, y=1, z=1)) == LaurentPoly.monomial(-6, 2)
-    assert out.coefficient(BasisMonomial(y=2)) == LaurentPoly.monomial(-8)

@@ -11,10 +11,10 @@ import pytest
 import g2skein
 from g2skein import Term, parse_diagram, serialize_diagram
 from g2skein.diagram import SkeinDiagram, relabel_heights, rotate_component
-from g2skein.classifier import evaluate, substitute_aux
+from g2skein.classifier import evaluate
 from g2skein.engine import dedup, run_pipeline
 from g2skein.errors import SkeinValidationError, StepLimitExceeded
-from g2skein.laurent import BasisMonomial, LaurentPoly
+from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram
 from g2skein.resolver import resolve_all
 from g2skein.sorter import sort_expression
@@ -28,7 +28,7 @@ def one_term(d, coeff=None):
 
 def naive_value(d):
     """Every smoothing, every sort step, no dedup and no memo."""
-    return substitute_aux(evaluate(sort_expression(resolve_all([one_term(d)]))))
+    return evaluate(sort_expression(resolve_all([one_term(d)])))
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +62,6 @@ def test_dedup_keeps_distinct_terms(y_neg, unknot):
     assert len(dedup(e)) == 2
 
 
-def test_dedup_keeps_aux_counters_apart(y_neg):
-    a = Term(coeff=LaurentPoly.one(), diagram=y_neg, aux_neg=1)
-    b = Term(coeff=LaurentPoly.one(), diagram=y_neg)
-    assert len(dedup([a, b])) == 2
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_dedup_preserves_value(seed):
     """The walk (children merged by dedup, values memoized) against the
@@ -86,9 +80,6 @@ def test_winding_curve_values(y_neg, y_pos):
 
 def test_unknot_value(unknot):
     assert run_pipeline(unknot).text() == "(-1*t^-2 + -1*t^2)"
-    assert run_pipeline(unknot, delta_mode="positive").text() == "(1*t^-2 + 1*t^2)"
-    sym = run_pipeline(unknot, delta_mode="symbolic")
-    assert sym.coefficient(BasisMonomial(unknot=1)) == LaurentPoly.one()
 
 
 def test_kink_values_are_twist_multiples(kink_pos, kink_neg, unknot):
@@ -118,11 +109,6 @@ def test_two_component_fixture_value(two_component):
 def test_resolution_order_does_not_change_value(two_crossing):
     default = run_pipeline(two_crossing)
     assert run_pipeline(two_crossing, order=[2, 1]) == default
-
-
-def test_aux_substitute_matches_direct(y_neg, y_pos, two_crossing):
-    for d in (y_neg, y_pos, two_crossing):
-        assert run_pipeline(d, aux_substitute=True) == run_pipeline(d)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -227,17 +213,27 @@ def test_cli_resolve_text(tmp_path):
 def test_cli_resolve_json(tmp_path):
     f = tmp_path / "d.json"
     f.write_text(doc_text(UNKNOT_DOC))
-    r = run_cli("resolve", str(f), "--output", "json", "--delta", "positive")
+    r = run_cli("resolve", str(f), "--output", "json")
     assert r.returncode == 0
     obj = json.loads(r.stdout)
     assert obj == {
         "polynomial": [
             {
                 "monomial": {"x": 0, "y": 0, "z": 0, "unknot": 0},
-                "coeff": [[-2, 1], [2, 1]],
+                "coeff": [[-2, -1], [2, -1]],
             }
         ]
     }
+
+
+def test_cli_usage_errors_exit_1(tmp_path):
+    f = tmp_path / "d.json"
+    f.write_text(doc_text(UNKNOT_DOC))
+    for extra in (["--delta", "standard"], ["--aux-substitute"], ["--max-steps", "abc"]):
+        r = run_cli("resolve", str(f), *extra)
+        assert r.returncode == 1, extra
+        assert "usage:" in r.stderr
+    assert run_cli("--help").returncode == 0
 
 
 def test_cli_resolve_step_limit(tmp_path):

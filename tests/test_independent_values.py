@@ -1,0 +1,58 @@
+"""Pipeline values against oracles that share no code with the package.
+
+The oracles live in ``perfbench/oracles.py``, which the benchmark also
+uses; it is imported from there so that one copy is kept.  Each oracle
+reads the diagram as its JSON document and the pipeline's JSON output,
+and does its own arithmetic on plain ints:
+
+* the t = -1 SL2 trace identity (Bullock 1997) on every fixture and on
+  150 generated diagrams;
+* the Temperley-Lieb state sum (Kauffman 1987) on closures of random
+  3- and 4-strand braids.
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from g2skein import parse_diagram, serialize_diagram
+from g2skein.engine import run_pipeline
+from g2skein.oracle import random_diagram
+
+import conftest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import oracles  # noqa: E402
+
+FIXTURES = sorted(name for name in dir(conftest) if name.endswith("_DOC"))
+PAIRS = oracles.random_sl2_pairs(0, 2)
+
+
+def value_obj(doc: dict) -> dict:
+    return run_pipeline(parse_diagram(json.dumps(doc))).to_json_obj()
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_trace_identity_on_fixtures(name):
+    doc = getattr(conftest, name)
+    assert oracles.trace_identity_failure(doc, value_obj(doc), PAIRS) is None
+
+
+def test_trace_identity_on_generated_diagrams():
+    for seed in range(150):
+        doc = json.loads(serialize_diagram(random_diagram(seed, 2, 3)))
+        failure = oracles.trace_identity_failure(doc, value_obj(doc), PAIRS)
+        assert failure is None, f"seed {seed}: {failure}"
+
+
+def test_state_sum_on_braid_closures():
+    rng = random.Random(7)
+    for k in range(30):
+        n = 3 + k % 2
+        word = [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(2, 8))]
+        doc = oracles.braid_document(word, n)
+        failure = oracles.bracket_failure(value_obj(doc), oracles.braid_bracket(word, n))
+        assert failure is None, f"{n} strands, word {word}: {failure}"

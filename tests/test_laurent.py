@@ -76,12 +76,12 @@ def test_basis_monomial_text():
     assert BasisMonomial().text() == "1"
     assert BasisMonomial().is_one()
     assert BasisMonomial(x=2, z=1).text() == "x^2*z"
-    assert BasisMonomial(y=1, unknot=3).text() == "y*unknot^3"
+    assert BasisMonomial(x=1, y=3).text() == "x*y^3"
 
 
 @given(
-    st.builds(BasisMonomial, x=st.integers(0, 3), y=st.integers(0, 3), z=st.integers(0, 3), unknot=st.integers(0, 3)),
-    st.builds(BasisMonomial, x=st.integers(0, 3), y=st.integers(0, 3), z=st.integers(0, 3), unknot=st.integers(0, 3)),
+    st.builds(BasisMonomial, x=st.integers(0, 3), y=st.integers(0, 3), z=st.integers(0, 3)),
+    st.builds(BasisMonomial, x=st.integers(0, 3), y=st.integers(0, 3), z=st.integers(0, 3)),
 )
 def test_basis_monomial_product(m1, m2):
     prod = m1 * m2
@@ -108,7 +108,8 @@ def test_skein_polynomial_cancellation():
 
 def test_skein_polynomial_items_order():
     sp = SkeinPolynomial.zero()
-    sp = sp.accumulate(BasisMonomial(unknot=1), LaurentPoly.one())
+    sp = sp.accumulate(BasisMonomial(), LaurentPoly.one())
+    sp = sp.accumulate(BasisMonomial(y=1), LaurentPoly.one())
     sp = sp.accumulate(BasisMonomial(x=1, z=2), LaurentPoly.monomial(1))
     first, _ = next(iter(sp.items()))
     assert first == BasisMonomial(x=1, z=2)
