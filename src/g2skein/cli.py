@@ -74,6 +74,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 failure = oracle.check_confluence(d)
             if failure is None and args.check in ("invariance", "all"):
                 failure = oracle.check_encoding_invariance(d)
+            if failure is None and args.check in ("framing", "all"):
+                failure = oracle.check_framing(d)
         except (InternalInvariantError, StepLimitExceeded) as exc:
             failure = {"property": "pipeline", "error": str(exc)}
         if failure is not None:
@@ -97,6 +99,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"nodes valued: {stats['nodes']}")
     print(f"crossing expansions: {stats['crossing_expansions']}")
     print(f"sort expansions: {stats['sort_expansions']}")
+    print(f"layer splits: {stats['layer_splits']}")
     print(f"wall time: {elapsed:.3f}s")
     print(f"result: {poly.text()}")
     return 0
@@ -126,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50)
     p.add_argument("--max-crossings", type=int, default=3)
-    p.add_argument("--check", choices=["confluence", "invariance", "all"], default="all")
+    p.add_argument("--check", choices=["confluence", "invariance", "framing", "all"], default="all")
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("bench", help="time the pipeline on one random diagram")

@@ -2,14 +2,34 @@
 
 A diagram's value is computed by a single depth-first walk over the
 diagrams it rewrites into.  A node that still has a crossing expands
-into its two smoothings (the crossing rule, ``resolve_stage``); a
-crossing-free node expands by one sorting slide (the sort rule,
-``sort_stage``); a sorted node is a leaf whose value the classifier
-reads off.  Every node is valued once per run: the memo is keyed by
-``dedup_key`` and lives for one ``run_pipeline`` call, so diamonds in
-the rewriting graph and repeated smoothings cost a lookup.  The walk is
-also the only place that writes trace records, spends the sort budget
-and counts work.
+into its two smoothings (the crossing rule, ``resolve_stage``); a sorted
+crossing-free node is a leaf whose value the classifier reads off; an
+unsorted crossing-free node is split into height layers when it has
+more than one (the layer rule, ``split_stage``) and otherwise expands
+by one sorting slide (the sort rule, ``sort_stage``).  Every node is
+valued once per run: the memo is keyed by ``dedup_key`` and lives for
+one ``run_pipeline`` call, so diamonds in the rewriting graph and
+repeated smoothings cost a lookup.  The walk is also the only place that
+writes trace records, spends the sort budget and counts work.
+
+Why the layer rule is sound.  The genus-2 handlebody is P x I, with P
+the disk minus the two base strands and I the height axis of the
+arrays.  Its skein module is a commutative algebra whose product is
+stacking in height (Bullock-Przytycki, Proc. AMS 128, 2000;
+Przytycki-Sikora, Topology 39, 2000).  Give each component of a
+crossing-free diagram the interval [min, max] of its pass heights and
+merge components whose intervals overlap; the groups so formed span
+disjoint height intervals.  In each region (L, M, R) the arcs do not
+cross.  Every arc joins two passes of one component, so along each
+strand a region touches the endpoints of each group's arcs form a
+contiguous run, with the runs of the groups below it on one side and
+those above it on the other.  Hence no arc of one group separates two
+endpoints of another, and since a crossing-free arc system in a disk is
+fixed up to isotopy by its endpoint pairing, each group can be pushed
+into its own height band.  Level planes then separate the
+groups, and the value is the product of the groups' values.  A
+component without passes is a trivial loop that shrinks into any band,
+so it is a group of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +47,7 @@ from .laurent import LaurentPoly, SkeinPolynomial
 __all__ = [
     "dedup",
     "resolve_stage",
+    "split_stage",
     "sort_stage",
     "run_pipeline",
 ]
@@ -64,6 +85,39 @@ def resolve_stage(t: Term, order: Optional[Sequence[int]]) -> tuple[list[Term], 
     return list(resolver.resolve_crossing(t, cid)), record
 
 
+def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
+    """Layer rule: the height-separated layers of a crossing-free term,
+    each a factor with coefficient 1, and the trace record; None when
+    there is only one layer.
+
+    Components whose height intervals overlap share a layer; each
+    component without passes is a layer of its own.
+    """
+    spans = []
+    loops = []
+    for c in t.diagram.components:
+        if c.heights:
+            spans.append((min(c.heights), max(c.heights), c))
+        else:
+            loops.append([c])
+    spans.sort(key=lambda span: span[0])
+    groups: list[list] = []
+    top = 0
+    for low, high, c in spans:
+        if groups and low < top:
+            groups[-1].append(c)
+            top = max(top, high)
+        else:
+            groups.append([c])
+            top = high
+    groups += loops
+    if len(groups) < 2:
+        return None
+    one = LaurentPoly.one()
+    factors = [Term(one, SkeinDiagram.make(g)) for g in groups]
+    return factors, {"stage": "split", "groups": len(groups)}
+
+
 def sort_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
     """Sort rule: one slide of a crossing-free term and its trace record,
     or None when the term is sorted."""
@@ -91,13 +145,16 @@ def _basis_value(
     """Value of a validated diagram in the basis.
 
     Depth-first with an explicit stack and one memo entry per distinct
-    diagram (up to encoding orbit).  Edges carry the smoothing or twist
-    coefficients.  The measure (crossings, then strand passes, then
-    inversions) strictly decreases along every edge, so the walk is
-    finite and the memo acyclic.  A node's diagram and edges are dropped
-    as soon as it is valued.  ``max_steps`` caps the sort expansions of
-    the run.  ``memo`` maps keys to values already known; it is empty
-    unless the caller passes one.
+    diagram (up to encoding orbit).  Edges of a crossing or sort
+    expansion carry the smoothing or twist coefficients and the node's
+    value is their weighted sum; the edges of a split lead to its
+    layers and the node's value is their product.  The measure
+    (crossings, then strand passes, then inversions, then components)
+    strictly decreases along every edge, so the walk is finite and the
+    memo acyclic.  A node's diagram and edges are dropped as soon as it
+    is valued.  ``max_steps`` caps the sort expansions of the run.
+    ``memo`` maps keys to values already known; it is empty unless the
+    caller passes one.
     """
 
     one = LaurentPoly.one()
@@ -105,36 +162,46 @@ def _basis_value(
         memo = {}
     # every other node has a smaller measure, so the root needs no key
     reprs: dict[Optional[tuple], SkeinDiagram] = {None: d0}
-    expansions: dict[Optional[tuple], list] = {}
-    crossings = sorts = 0
+    expansions: dict[Optional[tuple], tuple[bool, list]] = {}
+    crossings = sorts = splits = 0
     stack: list[Optional[tuple]] = [None]
     while stack:
         key = stack[-1]
         if key in memo:
             stack.pop()
             continue
-        edges = expansions.get(key)
-        if edges is None:
-            t = Term(one, reprs[key])
-            if t.diagram.sign_pairs:
+        expansion = expansions.get(key)
+        if expansion is None:
+            d = reprs[key]
+            t = Term(one, d)
+            product = False
+            if d.sign_pairs:
                 children, record = resolve_stage(t, order)
                 crossings += 1
+            elif sorter.is_fully_sorted(d):
+                memo[key] = classifier.evaluate([t])
+                del reprs[key]
+                stack.pop()
+                continue
             else:
-                step = sort_stage(t)
-                if step is None:
-                    memo[key] = classifier.evaluate([t])
-                    del reprs[key]
-                    stack.pop()
-                    continue
-                sorts += 1
-                if max_steps is not None and sorts > max_steps:
-                    raise StepLimitExceeded(f"sorting exceeded {max_steps} steps")
-                children, record = step
+                split = split_stage(t)
+                if split is not None:
+                    # factors of a product: equal layers are not merged
+                    children, record = split
+                    product = True
+                    splits += 1
+                else:
+                    sorts += 1
+                    if max_steps is not None and sorts > max_steps:
+                        raise StepLimitExceeded(f"sorting exceeded {max_steps} steps")
+                    children, record = sort_stage(t)
+            if not product:
+                children = dedup(children)
             if emit is not None:
                 emit(record)
             edges = []
             pending = []
-            for ch in dedup(children):
+            for ch in children:
                 ck = dedup_key(ch.diagram)
                 edges.append((ch.coeff, ck))
                 if ck not in memo:
@@ -142,13 +209,19 @@ def _basis_value(
                     # stack; pushing it again values it first
                     reprs.setdefault(ck, ch.diagram)
                     pending.append(ck)
-            expansions[key] = edges
+            expansion = expansions[key] = (product, edges)
             if pending:
                 stack.extend(pending)
                 continue
-        total = SkeinPolynomial.zero()
-        for coeff, ck in edges:
-            total = total + memo[ck].scaled(coeff)
+        product, edges = expansion
+        if product:
+            total = memo[edges[0][1]]
+            for _coeff, ck in edges[1:]:
+                total = total * memo[ck]
+        else:
+            total = SkeinPolynomial.zero()
+            for coeff, ck in edges:
+                total = total + memo[ck].scaled(coeff)
         memo[key] = total
         del reprs[key], expansions[key]
         stack.pop()
@@ -158,6 +231,7 @@ def _basis_value(
             nodes=len(memo) + 1,
             crossing_expansions=crossings,
             sort_expansions=sorts,
+            layer_splits=splits,
         )
     return value
 

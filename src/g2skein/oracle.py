@@ -12,7 +12,8 @@ relies on.
 The check functions re-run the whole pipeline under transformations
 that must not change the result: resolution-order permutations and the
 encoding symmetries (rotation, reversal, height relabeling, component
-order).
+order).  The framing check adds a kink, which must multiply the value
+by -t^(3 sign) for every t, not only at t = -1.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .diagram import (
 )
 from .arrayops import update_signs_on_reversal
 from .errors import InternalInvariantError
+from .laurent import LaurentPoly
 from . import engine
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "random_diagram_with_crossings",
     "check_confluence",
     "check_encoding_invariance",
+    "check_framing",
     "write_repro",
 ]
 
@@ -341,6 +344,42 @@ def check_encoding_invariance(d: SkeinDiagram) -> Optional[dict]:
                 "value_base": base.text(),
                 "value_variant": poly.text(),
             }
+    return None
+
+
+def _with_kink(d: SkeinDiagram, sign: int, over_first: bool) -> SkeinDiagram:
+    """``d`` with a kink of the given sign just before entry 0 of its
+    first component: the two branches of a new crossing, adjacent, at
+    a new height above every other."""
+    cid = max(d.crossing_ids(), default=0) + 1
+    top = max((h for c in d.components for h in c.heights), default=0) + 1
+    c = d.components[0]
+    kinked = Component(
+        (SelfPass(cid, over_first), SelfPass(cid, not over_first)) + c.entries,
+        (top, top) + c.heights,
+        (0, 0) + c.orients,
+    )
+    signs = d.signs()
+    signs[cid] = sign
+    return SkeinDiagram.make((kinked,) + d.components[1:], signs)
+
+
+def check_framing(d: SkeinDiagram) -> Optional[dict]:
+    """A kink of sign s must multiply the value by -t^(3 s), whichever of
+    its branches comes first."""
+    base = engine.run_pipeline(d)
+    for sign in (1, -1):
+        expected = base.scaled(LaurentPoly.monomial(3 * sign, -1))
+        for over_first in (True, False):
+            poly = engine.run_pipeline(_with_kink(d, sign, over_first))
+            if poly != expected:
+                return {
+                    "property": "framing",
+                    "sign": sign,
+                    "over_first": over_first,
+                    "value_expected": expected.text(),
+                    "value_kinked": poly.text(),
+                }
     return None
 
 

@@ -302,18 +302,22 @@ def sort_step(
 def sort_expression(e: Expression) -> Expression:
     """Run sort_step to a fixed point over the whole expression.
 
-    No deduplication and no memo: the plain reference the memoized walk
-    in ``engine`` is checked against.
+    Between rounds, terms whose diagrams are exactly equal (same
+    arrays, heights and crossing ids) merge by adding coefficients.
+    No canonical key, no memo and no layer split: the plain reference
+    the memoized walk in ``engine`` is checked against.
     """
     done: list[Term] = []
     current = list(e)
     while current:
-        frontier: list[Term] = []
+        frontier: dict[SkeinDiagram, LaurentPoly] = {}
         for term in current:
             children = sort_step(term)
             if children is None:
                 done.append(term)
-            else:
-                frontier.extend(children)
-        current = frontier
+                continue
+            for child in children:
+                prior = frontier.get(child.diagram)
+                frontier[child.diagram] = child.coeff if prior is None else prior + child.coeff
+        current = [Term(coeff, d) for d, coeff in frontier.items() if coeff]
     return done

@@ -125,7 +125,8 @@ def test_a7_encoding_invariance():
 
 def test_a8_dedup_soundness_and_performance(tmp_path):
     # the memoized walk against the naive reference: every smoothing and
-    # every sort step kept apart, no dedup, no memo
+    # every sort step, merging only exactly equal diagrams between
+    # rounds; no canonical key, no memo, no layer split
     for seed in range(200):
         d = random_diagram(seed, max_components=2, max_self_crossings=3)
         naive = sort_expression(resolve_all([Term(coeff=LaurentPoly.one(), diagram=d)]))

@@ -1,5 +1,6 @@
 """End-to-end pipeline values, deduplication, and the CLI surface."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import g2skein
 from g2skein import Term, parse_diagram, serialize_diagram
 from g2skein.diagram import SkeinDiagram, relabel_heights, rotate_component
 from g2skein.classifier import evaluate
-from g2skein.engine import dedup, run_pipeline
+from g2skein.engine import dedup, run_pipeline, split_stage
 from g2skein.errors import SkeinValidationError, StepLimitExceeded
 from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram
@@ -27,7 +28,8 @@ def one_term(d, coeff=None):
 
 
 def naive_value(d):
-    """Every smoothing, every sort step, no dedup and no memo."""
+    """Every smoothing and every sort step; only exactly equal diagrams
+    merge, with no canonical key, no memo and no layer split."""
     return evaluate(sort_expression(resolve_all([one_term(d)])))
 
 
@@ -64,8 +66,8 @@ def test_dedup_keeps_distinct_terms(y_neg, unknot):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_dedup_preserves_value(seed):
-    """The walk (children merged by dedup, values memoized) against the
-    naive reference that keeps every term apart."""
+    """The walk (children merged by dedup, values memoized, layers split)
+    against the naive reference."""
     d = random_diagram(seed, max_components=2, max_self_crossings=2)
     assert run_pipeline(d) == naive_value(d)
 
@@ -149,17 +151,72 @@ def test_stats_and_trace(tmp_path, two_crossing):
     assert out.text() == "(1 + -1*t^4)*x*z^2 + (-1*t^-4)*x + (-1*t^6)*y*z"
     assert stats.pop("seconds") >= 0
     assert stats == {
-        "nodes": 27,
+        "nodes": 25,
         "crossing_expansions": 3,
-        "sort_expansions": 10,
+        "sort_expansions": 7,
+        "layer_splits": 5,
     }
     lines = [json.loads(l) for l in trace_file.read_text().splitlines()]
     stages = [l["stage"] for l in lines]
     assert stages[0] == "start" and stages[-1] == "done"
     assert stages.count("resolve") == stats["crossing_expansions"]
     assert stages.count("sort") == stats["sort_expansions"]
-    assert len(stages) == 2 + 3 + 10
+    assert stages.count("split") == stats["layer_splits"]
+    assert all(l["groups"] >= 2 for l in lines if l["stage"] == "split")
+    assert len(stages) == 2 + 3 + 7 + 5
     assert lines[-1]["polynomial"] == out.text()
+
+
+# ---------------------------------------------------------------------------
+# the layer rule
+
+def stacked(lower, upper):
+    """The union of two crossing-free diagrams, ``upper`` relabelled to
+    lie above every height of ``lower``."""
+    top = max(h for c in lower.components for h in c.heights)
+    used = {h for c in upper.components for h in c.heights}
+    raised = relabel_heights(upper, {h: h + top for h in used})
+    return SkeinDiagram.make(lower.components + raised.components)
+
+
+def test_stacked_layers_multiply(y_neg, y_pos):
+    crossing_free = [y_neg, y_pos, random_diagram(60, 2, 0), random_diagram(63, 2, 0)]
+    for lower, upper in itertools.product(crossing_free, repeat=2):
+        d = stacked(lower, upper)
+        stats = {}
+        value = run_pipeline(d, stats=stats)
+        assert stats["layer_splits"] >= 1
+        assert value == run_pipeline(lower) * run_pipeline(upper)
+        assert value == evaluate(sort_expression([one_term(d)]))
+
+
+def test_interleaved_heights_do_not_split():
+    # the intervals [6, 8] and [1, 7] overlap, and no diagram the sort
+    # reaches from here separates either
+    d = parse_diagram(doc_text({
+        "components": [
+            {"E": ["U1", "U1"], "I": [8, 6], "Q": [3, 4]},
+            {"E": ["U1", "U2", "O2", "O2", "U2", "U1"], "I": [3, 7, 5, 4, 1, 2],
+             "Q": [3, 4, 5, 4, 5, 4]},
+        ],
+        "U": {},
+    }))
+    assert split_stage(one_term(d)) is None
+    stats = {}
+    value = run_pipeline(d, stats=stats)
+    assert stats["layer_splits"] == 0
+    assert stats["sort_expansions"] == 3
+    assert value == naive_value(d)
+
+
+def test_trivial_loop_is_split_off(y_neg, unknot):
+    d = SkeinDiagram.make(y_neg.components + unknot.components)
+    factors, record = split_stage(one_term(d))
+    assert record == {"stage": "split", "groups": 2}
+    assert [f.diagram.components for f in factors] == [y_neg.components, unknot.components]
+    stats = {}
+    assert run_pipeline(d, stats=stats) == run_pipeline(y_neg) * run_pipeline(unknot)
+    assert stats["layer_splits"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +304,9 @@ def test_cli_fuzz_clean(tmp_path):
     r = run_cli("fuzz", "--seed", "5", "--count", "6", "--check", "invariance", cwd=str(tmp_path))
     assert r.returncode == 0, r.stderr
     assert "6 diagrams" in r.stdout
+    r = run_cli("fuzz", "--seed", "5", "--count", "6", "--check", "framing", cwd=str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert "6 diagrams" in r.stdout
 
 
 def test_cli_bench_runs(tmp_path):
@@ -254,3 +314,4 @@ def test_cli_bench_runs(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "wall time" in r.stdout
     assert "sort expansions" in r.stdout
+    assert "layer splits" in r.stdout

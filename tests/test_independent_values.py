@@ -5,8 +5,9 @@ uses; it is imported from there so that one copy is kept.  Each oracle
 reads the diagram as its JSON document and the pipeline's JSON output,
 and does its own arithmetic on plain ints:
 
-* the t = -1 SL2 trace identity (Bullock 1997) on every fixture and on
-  150 generated diagrams;
+* the t = -1 SL2 trace identity (Bullock 1997) on every fixture, on
+  150 generated diagrams and on the 8- and 10-crossing diagrams of the
+  acceptance check A8 and the benchmark's ``crossings-10`` workload;
 * the Temperley-Lieb state sum (Kauffman 1987) on closures of random
   3- and 4-strand braids.
 """
@@ -20,7 +21,7 @@ import pytest
 
 from g2skein import parse_diagram, serialize_diagram
 from g2skein.engine import run_pipeline
-from g2skein.oracle import random_diagram
+from g2skein.oracle import random_diagram, random_diagram_with_crossings
 
 import conftest
 
@@ -46,6 +47,13 @@ def test_trace_identity_on_generated_diagrams():
         doc = json.loads(serialize_diagram(random_diagram(seed, 2, 3)))
         failure = oracles.trace_identity_failure(doc, value_obj(doc), PAIRS)
         assert failure is None, f"seed {seed}: {failure}"
+
+
+@pytest.mark.parametrize("crossings", [8, 10])
+def test_trace_identity_on_many_crossings(crossings):
+    d = random_diagram_with_crossings(11, crossings, crossings)
+    doc = json.loads(serialize_diagram(d))
+    assert oracles.trace_identity_failure(doc, run_pipeline(d).to_json_obj(), PAIRS) is None
 
 
 def test_state_sum_on_braid_closures():

@@ -14,6 +14,7 @@ from g2skein.laurent import LaurentPoly
 from g2skein.oracle import (
     check_confluence,
     check_encoding_invariance,
+    check_framing,
     random_diagram,
     random_diagram_with_crossings,
     write_repro,
@@ -129,6 +130,14 @@ def test_confluence_check_passes_on_fixture(two_crossing):
 def test_invariance_check_passes_on_fixture(two_crossing, two_component):
     assert check_encoding_invariance(two_crossing) is None
     assert check_encoding_invariance(two_component) is None
+
+
+def test_framing_check_passes_on_generated_diagrams():
+    # a kink multiplies the value by -t^(3 sign) at every t, which pins
+    # the exponent conventions that t = -1 checks cannot see
+    for seed in range(20):
+        d = random_diagram(seed, max_components=2, max_self_crossings=3)
+        assert check_framing(d) is None, f"seed {seed}"
 
 
 def test_write_repro_round_trips(tmp_path, two_crossing):
