@@ -15,16 +15,13 @@ from .laurent import BasisMonomial, LaurentPoly, SkeinPolynomial
 from .diagram import (
     Component,
     Expression,
-    PassEntry,
-    SelfPass,
     SkeinDiagram,
-    StrandPass,
     Term,
     parse_diagram,
     serialize_diagram,
     validate,
 )
-from .engine import dedup, run_pipeline
+from .engine import run_pipeline
 
 __version__ = "0.1.0"
 
@@ -34,17 +31,13 @@ __all__ = [
     "Expression",
     "InternalInvariantError",
     "LaurentPoly",
-    "PassEntry",
-    "SelfPass",
     "SkeinDiagram",
     "SkeinError",
     "SkeinFormatError",
     "SkeinPolynomial",
     "SkeinValidationError",
     "StepLimitExceeded",
-    "StrandPass",
     "Term",
-    "dedup",
     "parse_diagram",
     "run_pipeline",
     "serialize_diagram",

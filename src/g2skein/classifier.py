@@ -1,12 +1,13 @@
 """Map sorted crossing-free terms onto the basis and evaluate expressions.
 
 A sorted component winds around each base strand a net number of times
-readable straight off its front passes: each front pass counts +1 going
-left-to-right and -1 going right-to-left.  Winding (+-1, 0) is the loop
-around strand 1 (x), (0, +-1) the loop around strand 2 (z), equal
-windings (1,1)/(-1,-1) the loop around both (y), and (0,0) a trivial
-loop (unknot).  Anything else cannot come from an embedded sorted
-curve, so it is reported as an internal failure rather than guessed at.
+readable straight off the codes of its front passes: each counts +1
+going left-to-right and -1 going right-to-left.  Winding (+-1, 0) is
+the loop around strand 1 (x), (0, +-1) the loop around strand 2 (z),
+equal windings (1,1)/(-1,-1) the loop around both (y), and (0,0) a
+trivial loop (unknot).  Anything else cannot come from an embedded
+sorted curve, so it is reported as an internal failure rather than
+guessed at.
 
 Trivial loops are removed by multiplying the coefficient with the loop
 value ``DELTA`` = -t^2 - t^-2 of the Kauffman bracket.  It is the only
@@ -17,7 +18,7 @@ the output would not be a value of the curve.
 
 from __future__ import annotations
 
-from .diagram import Component, Expression, SelfPass, Term
+from .diagram import Component, Expression, Term
 from .errors import InternalInvariantError
 from .laurent import BasisMonomial, LaurentPoly, SkeinPolynomial
 
@@ -35,18 +36,13 @@ DELTA = LaurentPoly(((-2, -1), (2, -1)))
 
 def winding(c: Component) -> tuple[int, int]:
     """Net signed front-pass count around each strand."""
-    w = {1: 0, 2: 0}
-    for e, _h, q in c.triples():
-        if isinstance(e, SelfPass):
+    w = [0, 0]
+    for k in c.codes:
+        if k < 0:
             raise InternalInvariantError("winding on an unresolved component")
-        if e.strand == 1 and q not in (3, 4) or e.strand == 2 and q not in (4, 5):
-            raise InternalInvariantError(f"invalid orientation code {q}")
-        if e.over:
-            if e.strand == 1:
-                w[1] += 1 if q == 3 else -1
-            else:
-                w[2] += 1 if q == 4 else -1
-    return w[1], w[2]
+        if not k & 4:  # a front pass; bit 1 names the strand, bit 0 the direction
+            w[k >> 1] += -1 if k & 1 else 1
+    return w[0], w[1]
 
 
 def classify_component(c: Component) -> str:

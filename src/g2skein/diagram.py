@@ -1,17 +1,31 @@
-"""Skein data model: pass arrays, validation, serialization, canonical key.
+"""Skein data model: packed pass codes, validation, serialization, canonical key.
 
 A diagram lives in a genus-2 handlebody pictured as a thickened disk with
-two vertical base strands (strand 1 on the left, strand 2 on the right).
-Each link component is recorded as three parallel arrays:
+two vertical base strands (strand 1 on the left, strand 2 on the right)
+that cut the disk into the regions L, M and R.  Each link component is
+traversed, and the points of interest met on the way are listed: passes
+across a base strand (in front of it or behind it) and branches of
+self-crossings.  The document form records a component as three
+parallel arrays:
 
-* ``E`` - the points of interest met while traversing the component: a
-  pass across a base strand (in front of it or behind it) or one branch
-  of a self-crossing,
+* ``E`` - the pass tokens: ``O1``/``U1`` in front of / behind strand 1,
+  ``O2``/``U2`` the same for strand 2, ``X+n``/``X-n`` the over/under
+  branch of self-crossing n,
 * ``I`` - the height of each point, measured bottom-to-top; both branches
   of a self-crossing share one height, every other height is unique,
-* ``Q`` - direction codes for strand passes (strand 1: 3 = left-to-right,
-  4 = right-to-left; strand 2: 4 = left-to-right, 5 = right-to-left) and
-  0 on self-crossing branches.
+* ``Q`` - direction codes for strand passes (strand 1: 3 = L to M,
+  4 = M to L; strand 2: 4 = M to R, 5 = R to M) and 0 on self-crossing
+  branches.
+
+In memory a ``Component`` holds two tuples, ``codes`` and ``heights``:
+each (E, Q) pair is packed into one integer code.  A strand pass has a
+code 0..7 whose bit 0 is its direction (set for right to left), bit 1
+is set on strand 2 and bit 2 for a pass behind the strand; the two
+branches of crossing n have codes -2n (over) and -2n-1 (under).
+Traversing a section backwards flips bit 0 of its strand codes.
+
+Taken cyclically, the strand passes of a component chain through the
+regions: each pass starts in the region the previous one entered.
 
 The table ``U`` maps each self-crossing id to its sign.  Text form is a
 small JSON document; see ``parse_diagram``.
@@ -22,21 +36,19 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .errors import SkeinFormatError, SkeinValidationError
 from .laurent import LaurentPoly
 
 __all__ = [
-    "StrandPass",
-    "SelfPass",
-    "PassEntry",
     "Component",
     "SkeinDiagram",
     "Term",
     "Expression",
-    "parse_token",
-    "format_token",
+    "crossing_code",
+    "pass_code",
+    "pass_token",
     "parse_diagram",
     "serialize_diagram",
     "validate",
@@ -46,70 +58,63 @@ __all__ = [
     "dedup_key",
 ]
 
-
-@dataclass(frozen=True)
-class StrandPass:
-    """One pass across a base strand.  ``over`` means in front of it."""
-
-    strand: int
-    over: bool
-
-
-@dataclass(frozen=True)
-class SelfPass:
-    """One branch of a self-crossing.  ``over`` marks the front branch."""
-
-    crossing: int
-    over: bool
+# the (E token, Q value) pair of each strand code 0..7
+_STRAND_PASSES = (
+    ("O1", 3), ("O1", 4), ("O2", 4), ("O2", 5),
+    ("U1", 3), ("U1", 4), ("U2", 4), ("U2", 5),
+)
+_STRAND_CODES = {pair: k for k, pair in enumerate(_STRAND_PASSES)}
+# the region each strand code leaves and the one it enters
+_REGIONS = ("LM", "ML", "MR", "RM", "LM", "ML", "MR", "RM")
+_CROSSING_RE = re.compile(r"^X([+-])([1-9][0-9]*)$")
 
 
-PassEntry = Union[StrandPass, SelfPass]
-
-_TOKEN_RE = re.compile(r"^(?:([OU])([12])|X([+-])([1-9][0-9]*))$")
-
-
-def parse_token(tok: str) -> PassEntry:
-    m = _TOKEN_RE.match(tok)
-    if not m:
-        raise SkeinFormatError(f"bad pass token {tok!r}")
-    if m.group(1):
-        return StrandPass(strand=int(m.group(2)), over=m.group(1) == "O")
-    return SelfPass(crossing=int(m.group(4)), over=m.group(3) == "+")
+def crossing_code(cid: int, over: bool) -> int:
+    """The code of the over or under branch of crossing ``cid``."""
+    return -2 * cid - (not over)
 
 
-def format_token(entry: PassEntry) -> str:
-    if isinstance(entry, StrandPass):
-        return f"{'O' if entry.over else 'U'}{entry.strand}"
-    return f"X{'+' if entry.over else '-'}{entry.crossing}"
+def pass_code(token: str, q: int) -> Optional[int]:
+    """Pack an ``E`` token and its ``Q`` value into one code; None when
+    ``q`` is not a direction code of that token."""
+    m = _CROSSING_RE.match(token)
+    if m:
+        return crossing_code(int(m.group(2)), m.group(1) == "+") if q == 0 else None
+    if token not in ("O1", "U1", "O2", "U2"):
+        raise SkeinFormatError(f"bad pass token {token!r}")
+    return _STRAND_CODES.get((token, q))
+
+
+def pass_token(k: int) -> tuple[str, int]:
+    """The ``E`` token and ``Q`` value that code ``k`` packs."""
+    if k >= 0:
+        return _STRAND_PASSES[k]
+    return f"X{'-' if k & 1 else '+'}{-k >> 1}", 0
 
 
 @dataclass(frozen=True)
 class Component:
-    """One closed component: parallel tuples of entries, heights, codes."""
+    """One closed component: parallel tuples of pass codes and heights.
 
-    entries: tuple[PassEntry, ...]
+    A slice is the section of the traversal it selects, and ``+`` joins
+    sections, so each array operator of crossing resolution is one
+    expression (see ``resolver``).
+    """
+
+    codes: tuple[int, ...]
     heights: tuple[int, ...]
-    orients: tuple[int, ...]
-
-    @staticmethod
-    def make(
-        entries: Sequence[PassEntry],
-        heights: Sequence[int],
-        orients: Sequence[int],
-    ) -> "Component":
-        return Component(tuple(entries), tuple(heights), tuple(orients))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.codes)
 
-    def triples(self) -> Iterator[tuple[PassEntry, int, int]]:
-        return zip(self.entries, self.heights, self.orients)
+    def __getitem__(self, section: slice) -> "Component":
+        return Component(self.codes[section], self.heights[section])
 
-    def tokens(self) -> tuple[str, ...]:
-        return tuple(format_token(e) for e in self.entries)
+    def __add__(self, other: "Component") -> "Component":
+        return Component(self.codes + other.codes, self.heights + other.heights)
 
     def strand_pass_count(self) -> int:
-        return sum(1 for e in self.entries if isinstance(e, StrandPass))
+        return sum(1 for k in self.codes if k >= 0)
 
 
 @dataclass(frozen=True)
@@ -166,16 +171,23 @@ def _component_from_obj(obj: object, index: int) -> Component:
             raise SkeinFormatError(f"component {index} lacks array {key}")
         if not isinstance(obj[key], list):
             raise SkeinFormatError(f"component {index} field {key} is not an array")
-    entries = []
-    for tok in obj["E"]:
+    tokens, heights, dirs = obj["E"], obj["I"], obj["Q"]
+    for tok in tokens:
         if not isinstance(tok, str):
             raise SkeinFormatError(f"component {index}: E tokens must be strings")
-        entries.append(parse_token(tok))
-    for arr, name in ((obj["I"], "I"), (obj["Q"], "Q")):
+    for arr, name in ((heights, "I"), (dirs, "Q")):
         for v in arr:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise SkeinFormatError(f"component {index}: {name} values must be integers")
-    return Component.make(entries, obj["I"], obj["Q"])
+    if not len(tokens) == len(heights) == len(dirs):
+        raise SkeinValidationError([f"length mismatch in component {index}"])
+    codes = [pass_code(tok, q) for tok, q in zip(tokens, dirs)]
+    bad = [j for j, k in enumerate(codes) if k is None]
+    if bad:
+        raise SkeinValidationError(
+            [f"bad orientation code at component {index} entry {j}" for j in bad]
+        )
+    return Component(tuple(codes), tuple(heights))
 
 
 def parse_diagram(text: str) -> SkeinDiagram:
@@ -220,84 +232,67 @@ def parse_diagram(text: str) -> SkeinDiagram:
 
 def serialize_diagram(d: SkeinDiagram) -> str:
     """Canonical one-line JSON form; parse_diagram round-trips it exactly."""
-    obj = {
-        "components": [
-            {"E": list(c.tokens()), "I": list(c.heights), "Q": list(c.orients)}
-            for c in d.components
-        ],
-        "U": {str(cid): sign for cid, sign in d.sign_pairs},
-    }
+    comps = []
+    for c in d.components:
+        pairs = [pass_token(k) for k in c.codes]
+        comps.append({
+            "E": [tok for tok, _q in pairs],
+            "I": list(c.heights),
+            "Q": [q for _tok, q in pairs],
+        })
+    obj = {"components": comps, "U": {str(cid): sign for cid, sign in d.sign_pairs}}
     return json.dumps(obj)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
-def _entry_orient_ok(entry: PassEntry, q: int) -> bool:
-    if isinstance(entry, SelfPass):
-        return q == 0
-    if entry.strand == 1:
-        return q in (3, 4)
-    return q in (4, 5)
-
-
 def validate(d: SkeinDiagram) -> list[str]:
     """Check every structural rule; the returned list is empty when valid."""
     out: list[str] = []
+    branches: dict[int, list[tuple[int, int]]] = {}  # id -> (under bit, height)
+    owners: dict[int, list[int]] = {}  # height -> crossing id, 0 for a strand pass
     for li, c in enumerate(d.components):
-        if not (len(c.entries) == len(c.heights) == len(c.orients)):
+        if len(c.codes) != len(c.heights):
             out.append(f"length mismatch in component {li}")
             continue
-        for j, (entry, h, q) in enumerate(c.triples()):
-            if isinstance(entry, StrandPass) and entry.strand not in (1, 2):
-                out.append(f"bad strand at component {li} entry {j}")
-            if isinstance(entry, SelfPass) and entry.crossing < 1:
-                out.append(f"bad crossing id at component {li} entry {j}")
-            if not _entry_orient_ok(entry, q):
-                out.append(f"bad orientation code at component {li} entry {j}")
+        passes = []
+        for j, (k, h) in enumerate(zip(c.codes, c.heights)):
+            if k > 7 or k == -1:
+                out.append(f"bad pass code at component {li} entry {j}")
+                continue
             if h < 0:
                 out.append(f"negative height at component {li} entry {j}")
             elif h == 0:
                 out.append(f"zero height at component {li} entry {j}")
+            else:
+                owners.setdefault(h, []).append(-k >> 1 if k < 0 else 0)
+            if k < 0:
+                branches.setdefault(-k >> 1, []).append((k & 1, h))
+            else:
+                passes.append((j, k))
+        for (_, prev), (j, k) in zip(passes[-1:] + passes[:-1], passes):
+            if _REGIONS[prev][1] != _REGIONS[k][0]:
+                out.append(f"region break at component {li} entry {j}")
 
-    # pair up self-crossing branches
-    by_id: dict[int, list[tuple[bool, int]]] = {}
-    for c in d.components:
-        if not (len(c.entries) == len(c.heights) == len(c.orients)):
-            continue
-        for entry, h, _q in c.triples():
-            if isinstance(entry, SelfPass):
-                by_id.setdefault(entry.crossing, []).append((entry.over, h))
-    for cid, branches in sorted(by_id.items()):
-        if len(branches) != 2 or {b[0] for b in branches} != {True, False}:
+    for cid, pair in sorted(branches.items()):
+        if len(pair) != 2 or pair[0][0] == pair[1][0]:
             out.append(f"unpaired self-crossing {cid}")
-        elif branches[0][1] != branches[1][1]:
+        elif pair[0][1] != pair[1][1]:
             out.append(f"self-crossing {cid} height mismatch")
 
-    # height uniqueness: every nonzero height belongs to one strand pass
-    # or to the two branches of one crossing
-    owners: dict[int, list[tuple]] = {}
-    for c in d.components:
-        if not (len(c.entries) == len(c.heights) == len(c.orients)):
+    # every nonzero height belongs to one strand pass or to the two
+    # branches of one crossing
+    for h, ids in sorted(owners.items()):
+        if len(ids) == 1 or len(ids) == 2 and ids[0] == ids[1] != 0:
             continue
-        for entry, h, _q in c.triples():
-            if h > 0:
-                key = ("x", entry.crossing) if isinstance(entry, SelfPass) else ("s",)
-                owners.setdefault(h, []).append(key)
-    for h, ks in sorted(owners.items()):
-        if len(ks) == 1:
-            continue
-        crossings = {k[1] for k in ks if k[0] == "x"}
-        if len(ks) == 2 and len(crossings) == 1 and all(k[0] == "x" for k in ks):
-            continue
-        if any(k[0] == "s" for k in ks):
+        if 0 in ids:
             out.append(f"strand height collision at height {h}")
         else:
             out.append(f"height collision at height {h}")
 
-    ids_present = set(by_id)
     ids_signed = {cid for cid, _ in d.sign_pairs}
-    if ids_present != ids_signed:
+    if set(branches) != ids_signed:
         out.append("sign table key mismatch")
     for cid, sign in d.sign_pairs:
         if sign not in (1, -1):
@@ -310,30 +305,16 @@ def validate(d: SkeinDiagram) -> list[str]:
 
 def rotate_component(c: Component, offset: int) -> Component:
     """Start the traversal ``offset`` entries later; same closed curve."""
-    m = len(c)
-    if m == 0:
+    if not c.codes:
         return c
-    k = offset % m
-    return Component(
-        c.entries[k:] + c.entries[:k],
-        c.heights[k:] + c.heights[:k],
-        c.orients[k:] + c.orients[:k],
-    )
-
-
-def _flip_orient(entry: PassEntry, q: int) -> int:
-    if isinstance(entry, SelfPass):
-        return 0
-    if entry.strand == 1:
-        return 7 - q  # 3 <-> 4
-    return 9 - q  # 4 <-> 5
+    k = offset % len(c)
+    return c[k:] + c[:k]
 
 
 def reverse_component(c: Component) -> Component:
     """Traverse the same curve backwards: arrays reversed, directions flipped."""
-    ents = c.entries[::-1]
-    orients = tuple(_flip_orient(e, q) for e, q in zip(ents, c.orients[::-1]))
-    return Component(ents, c.heights[::-1], orients)
+    codes = tuple(k ^ 1 if k >= 0 else k for k in reversed(c.codes))
+    return Component(codes, c.heights[::-1])
 
 
 def relabel_heights(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram:
@@ -347,7 +328,7 @@ def relabel_heights(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram
     if any(b <= a for a, b in zip(imgs, imgs[1:])) or any(v < 1 for v in imgs):
         raise SkeinValidationError(["relabel mapping is not strictly increasing"])
     comps = [
-        Component(c.entries, tuple(mapping[h] if h > 0 else 0 for h in c.heights), c.orients)
+        Component(c.codes, tuple(mapping[h] if h > 0 else 0 for h in c.heights))
         for c in d.components
     ]
     return SkeinDiagram.make(comps, d.signs())
@@ -356,29 +337,37 @@ def relabel_heights(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram
 # ---------------------------------------------------------------------------
 # canonical key
 
-def _blind_code(entry: PassEntry) -> int:
-    # crossing ids are erased here; the shared height in I keeps branch
-    # pairs identifiable, so the comparison stays id-renumbering-proof
-    if isinstance(entry, StrandPass):
-        return (0 if entry.over else 2) + (entry.strand - 1)
-    return 4 if entry.over else 5
+# rank of each strand class k >> 1 (O1, O2, U1, U2) in the key's pass
+# sequences: behind before in front, strand 1 before strand 2.  Sibling
+# diagrams are valued in key order, and the crossing a node resolves
+# first depends on which sibling reached it, so this order is kept.
+_KEY_CLASS = (1, 3, 0, 2)
 
 
-def _least_rotation(codes: tuple, rh: tuple, q: tuple, ents: tuple) -> tuple:
-    """The four parallel sequences of a component at its least rotation."""
-    # the least rotation starts at the least code; only those compete
-    low = min(codes, default=None)
-    starts = [k for k in range(len(codes)) if codes[k] == low]
-    best = starts[0] if len(starts) == 1 else min(
+def _least_rotation(codes: tuple, ranks: tuple) -> tuple:
+    """(blind classes, ranks, directions, codes) of a component at its
+    least rotation.
+
+    The blind class of a pass is ``k >> 1`` for a strand pass and 4 or 5
+    for an over or under crossing branch: crossing ids are erased, and
+    the shared rank keeps branch pairs identifiable, so the choice does
+    not depend on how the crossings are numbered.
+    """
+    blind = tuple(k >> 1 if k >= 0 else 4 + (k & 1) for k in codes)
+    dirs = tuple(k & 1 for k in codes)
+    # the least rotation starts at the least class; only those compete
+    low = min(blind, default=None)
+    starts = [s for s in range(len(blind)) if blind[s] == low]
+    s = starts[0] if len(starts) == 1 else min(
         starts,
-        key=lambda k: (codes[k:] + codes[:k], rh[k:] + rh[:k], q[k:] + q[:k]),
+        key=lambda s: (blind[s:] + blind[:s], ranks[s:] + ranks[:s], dirs[s:] + dirs[:s]),
         default=0,
     )
     return (
-        codes[best:] + codes[:best],
-        rh[best:] + rh[:best],
-        q[best:] + q[:best],
-        ents[best:] + ents[:best],
+        blind[s:] + blind[:s],
+        ranks[s:] + ranks[:s],
+        dirs[s:] + dirs[:s],
+        codes[s:] + codes[:s],
     )
 
 
@@ -400,31 +389,25 @@ def dedup_key(d: SkeinDiagram) -> tuple:
     rank = {h: i + 1 for i, h in enumerate(used)}
     comps = []
     for c in d.components:
-        codes = tuple(_blind_code(e) for e in c.entries)
-        rh = tuple(rank[h] if h > 0 else 0 for h in c.heights)
-        item = _least_rotation(codes, rh, c.orients, c.entries)
+        ranks = tuple(rank[h] if h > 0 else 0 for h in c.heights)
+        item = _least_rotation(c.codes, ranks)
         if not d.sign_pairs:
-            back = reverse_component(c)
-            item = min(
-                item,
-                _least_rotation(codes[::-1], rh[::-1], back.orients, back.entries),
-                key=lambda it: it[:3],
-            )
+            back = _least_rotation(reverse_component(c).codes, ranks[::-1])
+            item = min(item, back, key=lambda it: it[:3])
         comps.append(item)
     comps.sort(key=lambda item: item[:3])
+    # crossings are numbered in order of first appearance
     renumber: dict[int, int] = {}
     keyed = []
-    for codes, rh, q, ents in comps:
-        full = []
-        for e in ents:
-            if isinstance(e, SelfPass):
-                nid = renumber.setdefault(e.crossing, len(renumber) + 1)
-                full.append((1, nid, 1 if e.over else 0))
-            else:
-                full.append((0, e.strand, 1 if e.over else 0))
-        keyed.append((tuple(full), rh, q))
+    for _blind, ranks, dirs, codes in comps:
+        full = tuple(
+            _KEY_CLASS[k >> 1] if k >= 0
+            else 2 * renumber.setdefault(-k >> 1, len(renumber) + 1) + 3 - (k & 1)
+            for k in codes
+        )
+        keyed.append((full, ranks, dirs))
     signs = d.signs()
-    new_signs = tuple(sorted((nid, signs[old]) for old, nid in renumber.items()))
+    new_signs = tuple((nid, signs[old]) for old, nid in renumber.items())
     key = (tuple(keyed), new_signs)
     d._memo["key"] = key
     return key

@@ -27,18 +27,18 @@ from typing import Optional
 
 from .diagram import (
     Component,
-    SelfPass,
     SkeinDiagram,
-    StrandPass,
+    crossing_code,
+    pass_code,
     relabel_heights,
     reverse_component,
     rotate_component,
     serialize_diagram,
     validate,
 )
-from .arrayops import update_signs_on_reversal
 from .errors import InternalInvariantError
 from .laurent import LaurentPoly
+from .resolver import update_signs_on_reversal
 from . import engine
 
 __all__ = [
@@ -222,19 +222,16 @@ def _build_attempt(rng: random.Random, max_components: int) -> Optional[SkeinDia
     components = []
     for ci, walk in enumerate(walks):
         m = len(walk) - 1
-        ents: list = []
+        codes: list[int] = []
         heights: list[int] = []
-        orients: list[int] = []
         for k in range(max(0, m)):
             strand, q, over, h = passes[(ci, k)]
-            ents.append(StrandPass(strand, over))
+            codes.append(pass_code(f"{'O' if over else 'U'}{strand}", q))
             heights.append(h)
-            orients.append(q)
             for _t, cid, over_here in sorted(arc_hits.get((ci, k), [])):
-                ents.append(SelfPass(cid, over_here))
+                codes.append(crossing_code(cid, over_here))
                 heights.append(base + cid)
-                orients.append(0)
-        components.append(Component.make(ents, heights, orients))
+        components.append(Component(tuple(codes), tuple(heights)))
 
     d = SkeinDiagram.make(components, signs)
     problems = validate(d)
@@ -257,7 +254,7 @@ def random_diagram(
         if d is not None and len(d.sign_pairs) <= max_self_crossings:
             return d
     # overwhelmingly unlikely; keep the contract deterministic anyway
-    loop = Component.make([StrandPass(1, True), StrandPass(1, False)], [1, 2], [3, 4])
+    loop = Component((pass_code("O1", 3), pass_code("U1", 4)), (1, 2))
     return SkeinDiagram.make([loop], {})
 
 
@@ -320,7 +317,7 @@ def _variants(d: SkeinDiagram):
             # crossings it shares with other components
             comps = list(d.components)
             comps[li] = reverse_component(c)
-            signs = update_signs_on_reversal(d.signs(), c.entries)
+            signs = update_signs_on_reversal(d.signs(), c.codes)
             yield "reverse", SkeinDiagram.make(comps, signs)
     used = {h for c in d.components for h in c.heights if h > 0}
     if used:
@@ -355,9 +352,8 @@ def _with_kink(d: SkeinDiagram, sign: int, over_first: bool) -> SkeinDiagram:
     top = max((h for c in d.components for h in c.heights), default=0) + 1
     c = d.components[0]
     kinked = Component(
-        (SelfPass(cid, over_first), SelfPass(cid, not over_first)) + c.entries,
+        (crossing_code(cid, over_first), crossing_code(cid, not over_first)) + c.codes,
         (top, top) + c.heights,
-        (0, 0) + c.orients,
     )
     signs = d.signs()
     signs[cid] = sign

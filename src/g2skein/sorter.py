@@ -9,24 +9,20 @@ the spot.  Two adjacent passes cost one crossing (a twist); separated
 passes cost a pair of opposite crossings.  Each step removes exactly
 one height inversion from every child, which is what guarantees
 termination and what the progress monitor checks.
+
+Strand passes are read off their codes (see ``diagram``): ``k >> 1`` is
+0 or 1 for a pass in front of strand 1 or 2 and 2 or 3 for one behind
+it, and ``k & 1`` is set when the pass runs right to left.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect, bisect_left
 from dataclasses import replace
 from typing import Iterable, NamedTuple, Optional
 
 from . import resolver
-from .diagram import (
-    Component,
-    Expression,
-    SelfPass,
-    SkeinDiagram,
-    StrandPass,
-    Term,
-    rotate_component,
-)
+from .diagram import Component, SkeinDiagram, Term, crossing_code, rotate_component
 from .errors import InternalInvariantError
 from .laurent import LaurentPoly
 
@@ -41,7 +37,6 @@ __all__ = [
     "next_decision",
     "induce_crossings",
     "sort_step",
-    "sort_expression",
 ]
 
 
@@ -62,15 +57,16 @@ def partition(d: SkeinDiagram, strand: int) -> StrandPartition:
     cached = d._memo.get(strand)
     if cached is not None:
         return cached
-    over: list[int] = []
-    under: list[int] = []
+    pools: tuple[list[int], ...] = ([], [], [], [])
     for c in d.components:
-        for e, h, _q in c.triples():
-            if isinstance(e, StrandPass) and e.strand == strand:
-                (over if e.over else under).append(h)
-    p = StrandPartition(tuple(sorted(over)), tuple(sorted(under)))
-    d._memo[strand] = p
-    return p
+        for k, h in zip(c.codes, c.heights):
+            if k >= 0:
+                pools[k >> 1].append(h)
+    # both strands are pooled in one pass; the other is asked for next
+    for s in (1, 2):
+        over, under = pools[s - 1], pools[s + 1]
+        d._memo[s] = StrandPartition(tuple(sorted(over)), tuple(sorted(under)))
+    return d._memo[strand]
 
 
 def is_sorted(d: SkeinDiagram, strand: int) -> bool:
@@ -101,26 +97,17 @@ def inversion_count(d: SkeinDiagram) -> int:
 def induction_decision(p: StrandPartition) -> Optional[SwapChoice]:
     """Pick the height pair to swap next, or None when already sorted.
 
-    Walks the pooled heights bottom-up past the sorted prefix of front
-    passes; the first front pass above some behind pass is paired with
-    the highest behind pass underneath it.  The two passes are always
+    The first front pass above the lowest behind pass is paired with the
+    highest behind pass underneath it.  The two passes are always
     height-adjacent on the strand.
     """
-    overs = sorted(p.over)
-    unders = sorted(p.under)
-    if not overs or not unders:
+    if not p.over or not p.under:
         return None
-    both = sorted(overs + unders)
-    k = 0
-    while k < len(overs) and both[k] == overs[k]:
-        k += 1
-    if k == len(overs):
+    k = bisect(p.over, p.under[0])
+    if k == len(p.over):
         return None
-    c = overs[k]
-    idx = bisect_left(unders, c) - 1
-    if idx < 0:
-        raise InternalInvariantError("inversion vanished mid-decision")
-    return SwapChoice(under_height=unders[idx], over_height=c)
+    c = p.over[k]
+    return SwapChoice(under_height=p.under[bisect(p.under, c) - 1], over_height=c)
 
 
 def next_decision(d: SkeinDiagram) -> Optional[tuple[int, SwapChoice]]:
@@ -135,21 +122,18 @@ def next_decision(d: SkeinDiagram) -> Optional[tuple[int, SwapChoice]]:
 # ---------------------------------------------------------------------------
 # crossing induction
 
-def _locate_pass(d: SkeinDiagram, height: int, over: bool) -> tuple[int, int, StrandPass]:
+def _locate_pass(d: SkeinDiagram, height: int, over: bool) -> tuple[int, int, int]:
+    """(component, position, code) of the strand pass at ``height``."""
     for li, c in enumerate(d.components):
-        for j, (e, h, _q) in enumerate(c.triples()):
-            if isinstance(e, StrandPass) and h == height:
-                if e.over != over:
+        for j, (k, h) in enumerate(zip(c.codes, c.heights)):
+            if k >= 0 and h == height:
+                if (not k & 4) != over:
                     kind = "front" if over else "behind"
                     raise InternalInvariantError(
                         f"pass at height {height} is not a {kind} pass"
                     )
-                return li, j, e
+                return li, j, k
     raise InternalInvariantError(f"no strand pass at height {height}")
-
-
-def _travels_right_to_left(e: StrandPass, q: int) -> bool:
-    return q == 4 if e.strand == 1 else q == 5
 
 
 def _with_component(d: SkeinDiagram, li: int, c: Component) -> SkeinDiagram:
@@ -164,19 +148,17 @@ def _swap_heights(d: SkeinDiagram, spot_a: tuple[int, int], spot_b: tuple[int, i
     comps = list(d.components)
     for (li, j, h) in ((la, ja, hb), (lb, jb, ha)):
         c = comps[li]
-        heights = c.heights[:j] + (h,) + c.heights[j + 1 :]
-        comps[li] = Component(c.entries, heights, c.orients)
+        comps[li] = Component(c.codes, c.heights[:j] + (h,) + c.heights[j + 1 :])
     return SkeinDiagram(tuple(comps), d.sign_pairs)
 
 
-def _insert_entries(c: Component, inserts: Iterable[tuple[int, SelfPass]]) -> Component:
-    """Insert marker branches at the given slots (computed pre-insertion)."""
-    ents, heights, orients = list(c.entries), list(c.heights), list(c.orients)
-    for pos, entry in sorted(inserts, key=lambda iv: iv[0], reverse=True):
-        ents.insert(pos, entry)
+def _insert_branches(c: Component, inserts: Iterable[tuple[int, int]]) -> Component:
+    """Insert branch codes at the given slots (computed pre-insertion)."""
+    codes, heights = list(c.codes), list(c.heights)
+    for pos, k in sorted(inserts, reverse=True):
+        codes.insert(pos, k)
         heights.insert(pos, 0)
-        orients.insert(pos, 0)
-    return Component.make(ents, heights, orients)
+    return Component(tuple(codes), tuple(heights))
 
 
 def induce_crossings(t: Term, a: int, c: int) -> Term:
@@ -187,17 +169,17 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
     seam) get a single twist crossing, with the term coefficient scaled
     by the twist compensation -t^(-3 sign); everything else gets a
     cancelling crossing pair on the two sides of the strand.  New
-    branches carry placeholder height 0 and code 0; the sign table of
-    the result holds exactly the new crossings.
+    branches carry placeholder height 0; the sign table of the result
+    holds exactly the new crossings.
     """
     if t.diagram.sign_pairs:
         raise InternalInvariantError("crossing induction on an unresolved term")
     if not a < c:
         raise InternalInvariantError(f"swap pair out of order: {a} >= {c}")
     d = t.diagram
-    la, ja, pa = _locate_pass(d, a, over=False)
-    lc, jc, pc = _locate_pass(d, c, over=True)
-    if pa.strand != pc.strand:
+    la, ja, ka = _locate_pass(d, a, over=False)
+    lc, jc, kc = _locate_pass(d, c, over=True)
+    if (ka ^ kc) & 2:
         raise InternalInvariantError("swap pair spans both strands")
 
     d = _swap_heights(d, (la, ja), (lc, jc))
@@ -215,40 +197,38 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
         first, second = (ja, jc) if ja < jc else (jc, ja)
         comp = d.components[la]
         over_first = first == jc
-        eps = 1 if _travels_right_to_left(
-            comp.entries[first], comp.orients[first]
-        ) else -1
-        head = SelfPass(1, over_first)
-        tail = SelfPass(1, not over_first)
-        comp = _insert_entries(comp, [(first, head), (second + 1, tail)])
+        eps = 1 if comp.codes[first] & 1 else -1
+        comp = _insert_branches(comp, [
+            (first, crossing_code(1, over_first)),
+            (second + 1, crossing_code(1, not over_first)),
+        ])
         d = _with_component(d, la, comp)
         new_signs = {1: eps}
         coeff = t.coeff * LaurentPoly.monomial(-3 * eps, -1)
     else:
-        dir_a = _travels_right_to_left(pa, d.components[la].orients[ja])
-        dir_c = _travels_right_to_left(pc, d.components[lc].orients[jc])
-        eps1 = 1 if dir_a == dir_c else -1
+        rtl_a, rtl_c = ka & 1, kc & 1
+        eps1 = 1 if rtl_a == rtl_c else -1
         new_signs = {1: eps1, 2: -eps1}
 
-        def flank(j: int, rtl: bool, over: bool) -> list[tuple[int, SelfPass]]:
+        def flank(j: int, rtl: int, over: bool) -> list[tuple[int, int]]:
             before_id, after_id = (2, 1) if rtl else (1, 2)
             return [
-                (j, SelfPass(before_id, over)),
-                (j + 1, SelfPass(after_id, over)),
+                (j, crossing_code(before_id, over)),
+                (j + 1, crossing_code(after_id, over)),
             ]
 
         if same:
-            comp = _insert_entries(
+            comp = _insert_branches(
                 d.components[la],
-                flank(ja, dir_a, False) + flank(jc, dir_c, True),
+                flank(ja, rtl_a, False) + flank(jc, rtl_c, True),
             )
             d = _with_component(d, la, comp)
         else:
             d = _with_component(
-                d, la, _insert_entries(d.components[la], flank(ja, dir_a, False))
+                d, la, _insert_branches(d.components[la], flank(ja, rtl_a, False))
             )
             d = _with_component(
-                d, lc, _insert_entries(d.components[lc], flank(jc, dir_c, True))
+                d, lc, _insert_branches(d.components[lc], flank(jc, rtl_c, True))
             )
         coeff = t.coeff
 
@@ -297,27 +277,3 @@ def sort_step(
         ):
             raise InternalInvariantError("sorting step made no progress")
     return pending
-
-
-def sort_expression(e: Expression) -> Expression:
-    """Run sort_step to a fixed point over the whole expression.
-
-    Between rounds, terms whose diagrams are exactly equal (same
-    arrays, heights and crossing ids) merge by adding coefficients.
-    No canonical key, no memo and no layer split: the plain reference
-    the memoized walk in ``engine`` is checked against.
-    """
-    done: list[Term] = []
-    current = list(e)
-    while current:
-        frontier: dict[SkeinDiagram, LaurentPoly] = {}
-        for term in current:
-            children = sort_step(term)
-            if children is None:
-                done.append(term)
-                continue
-            for child in children:
-                prior = frontier.get(child.diagram)
-                frontier[child.diagram] = child.coeff if prior is None else prior + child.coeff
-        current = [Term(coeff, d) for d, coeff in frontier.items() if coeff]
-    return done

@@ -18,8 +18,6 @@ from g2skein.oracle import (
     random_diagram,
     random_diagram_with_crossings,
 )
-from g2skein.resolver import resolve_all
-from g2skein.sorter import sort_expression
 
 from conftest import (
     KINK_NEG_DOC,
@@ -31,6 +29,7 @@ from conftest import (
     Y_POS_DOC,
     doc_text,
 )
+from naive import resolve_all, sort_expression
 
 
 def test_a1_encoding_round_trip():

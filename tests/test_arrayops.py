@@ -1,143 +1,199 @@
-"""The four section operators and the reversal bookkeeping.
+"""The four array operators of crossing resolution and the reversal bookkeeping.
 
-Each operator drops the two entries at the chosen positions and
-rearranges the rest; the worked cases here pin the exact slice
-arithmetic, and the properties check conservation of everything else.
+The operators (split, reverse, merge forward, merge back) are slices of
+a ``Component`` inside ``resolver.resolve_crossing``.  The worked cases
+pin the exact child arrays, and the properties check that every entry
+other than the two smoothed branches survives exactly once.
 """
 
-import pytest
+import json
+
 from hypothesis import given, strategies as st
 
-from g2skein.arrayops import (
-    flip_q_codes,
-    merge_components_back,
-    merge_components_fwd,
-    op_merge_back,
-    op_merge_fwd,
-    op_reverse,
-    op_split,
-    reverse_component_section,
-    split_component,
-    update_signs_on_reversal,
-)
-from g2skein.diagram import parse_token
-from g2skein.errors import InternalInvariantError
-
-from conftest import TWO_CROSSING_DOC
+from g2skein import Term, parse_diagram, serialize_diagram, validate
+from g2skein.diagram import Component, SkeinDiagram, pass_code, pass_token, reverse_component
+from g2skein.laurent import LaurentPoly
+from g2skein.oracle import random_diagram
+from g2skein.resolver import locate_crossing, resolve_crossing, update_signs_on_reversal
 
 
-def toks(*names):
-    return [parse_token(n) for n in names]
+def codes(*tokens):
+    """Codes of the tokens, strand passes in their left-to-right direction."""
+    q = {"O1": 3, "U1": 3, "O2": 4, "U2": 4}
+    return tuple(pass_code(t, q.get(t, 0)) for t in tokens)
 
 
-E1 = TWO_CROSSING_DOC["components"][0]["E"]
+def children(doc, cid=1):
+    """The two smoothings of crossing ``cid`` as component documents."""
+    t = Term(LaurentPoly.one(), parse_diagram(json.dumps(doc)))
+    pair = resolve_crossing(t, cid)
+    return [json.loads(serialize_diagram(ch.diagram))["components"] for ch in pair]
 
 
-def test_split_examples():
-    assert op_split(list("abcde"), 1, 3) == (["c"], ["a", "e"])
-    assert op_split(list("abcd"), 0, 3) == (["b", "c"], [])
-    mid, outer = op_split(E1, 1, 8)
-    assert mid == ["O2", "U2", "X-2", "O2", "U2", "X+2"]
-    assert outer == ["O1", "U1"]
+def one(e, i, q, signs=None):
+    """A one-component document, by default with crossing 1 positive."""
+    return {"components": [{"E": e, "I": i, "Q": q}], "U": signs or {"1": 1}}
 
 
-def test_reverse_examples():
-    assert op_reverse(list("abcdef"), 1, 4) == ["a", "d", "c", "f"]
-    assert op_reverse(list("abc"), 0, 2) == ["b"]
-    assert op_reverse(E1, 1, 8) == ["O1", "X+2", "U2", "O2", "X-2", "U2", "O2", "U1"]
+# the branches of crossing 1 at both ends of the traversal
+ENDS = one(["X+1", "O1", "U1", "X-1"], [3, 1, 2, 3], [0, 3, 4, 0])
+
+
+TWO_COMPONENTS = {
+    "components": [
+        {"E": ["O1", "X+1", "U1"], "I": [1, 3, 2], "Q": [3, 0, 4]},
+        {"E": ["O2", "X-1", "U2"], "I": [4, 3, 5], "Q": [5, 0, 4]},
+    ],
+    "U": {"1": 1},
+}
+
+
+def test_split_examples(two_crossing):
+    # crossing 1 of the fixture sits at entries 1 and 8 of one component
+    split, _ = children(json.loads(serialize_diagram(two_crossing)))
+    assert split == [
+        {
+            "E": ["O2", "U2", "X-2", "O2", "U2", "X+2"],
+            "I": [6, 5, 7, 3, 4, 7],
+            "Q": [4, 5, 0, 4, 5, 0],
+        },
+        {"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]},
+    ]
+    # branches at both ends: the middle is everything else, the outside empty
+    split, _ = children(ENDS)
+    assert split == [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}, {"E": [], "I": [], "Q": []}]
+
+
+def test_reverse_examples(two_crossing):
+    # the section between the branches runs backwards, directions flipped
+    _, rev = children(json.loads(serialize_diagram(two_crossing)))
+    assert rev == [{
+        "E": ["O1", "X+2", "U2", "O2", "X-2", "U2", "O2", "U1"],
+        "I": [1, 7, 4, 3, 7, 5, 6, 2],
+        "Q": [3, 0, 4, 5, 0, 4, 5, 4],
+    }]
+    _, rev = children(ENDS)
+    assert rev == [{"E": ["U1", "O1"], "I": [2, 1], "Q": [3, 4]}]
 
 
 def test_merge_fwd_examples():
-    assert op_merge_fwd(list("abc"), list("pqr"), 1, 1) == ["a", "r", "p", "c"]
-    assert op_merge_fwd(["a"], ["p"], 0, 0) == []
-    assert op_merge_fwd(list("ab"), list("pqr"), 0, 2) == ["p", "q", "b"]
+    fwd, _ = children(TWO_COMPONENTS)
+    assert fwd == [{"E": ["O1", "U2", "O2", "U1"], "I": [1, 5, 4, 2], "Q": [3, 4, 5, 4]}]
+    # two lone branches leave one empty cycle
+    lone = {
+        "components": [{"E": ["X+1"], "I": [1], "Q": [0]}, {"E": ["X-1"], "I": [1], "Q": [0]}],
+        "U": {"1": 1},
+    }
+    assert children(lone) == [[{"E": [], "I": [], "Q": []}]] * 2
 
 
 def test_merge_back_examples():
-    assert op_merge_back(list("abc"), list("pqr"), 1, 1) == ["a", "p", "r", "c"]
-    assert op_merge_back(["a"], list("pq"), 0, 0) == ["q"]
-    assert op_merge_back(list("ab"), list("pqr"), 1, 0) == ["a", "r", "q"]
-
-
-def test_section_bounds_checked():
-    with pytest.raises(InternalInvariantError):
-        op_split(list("abc"), 2, 1)
-    with pytest.raises(InternalInvariantError):
-        op_split(list("abc"), 1, 1)
-    with pytest.raises(InternalInvariantError):
-        op_reverse(list("abc"), 0, 5)
-    with pytest.raises(InternalInvariantError):
-        op_merge_fwd(list("ab"), list("pq"), 3, 0)
+    _, back = children(TWO_COMPONENTS)
+    assert back == [{"E": ["O1", "O2", "U2", "U1"], "I": [1, 4, 5, 2], "Q": [3, 4, 5, 4]}]
+    doc = {
+        "components": [
+            {"E": ["X+1"], "I": [3], "Q": [0]},
+            {"E": ["X-1", "O1", "U1"], "I": [3, 1, 2], "Q": [0, 3, 4]},
+        ],
+        "U": {"1": 1},
+    }
+    fwd, back = children(doc)
+    assert fwd == [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}]
+    assert back == [{"E": ["U1", "O1"], "I": [2, 1], "Q": [3, 4]}]
 
 
 def test_reverse_empty_middle_just_deletes():
-    assert op_reverse(list("ab"), 0, 1) == []
-    assert op_reverse(list("abcd"), 1, 2) == ["a", "d"]
+    # adjacent branches (a kink): the reversed section is empty
+    split, rev = children(one(["O1", "X+1", "X-1", "U1"], [1, 3, 3, 2], [3, 0, 0, 4], {"1": -1}))
+    assert rev == [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}]
+    assert split == [{"E": [], "I": [], "Q": []}, {"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}]
 
 
-items = st.lists(st.integers(0, 99), min_size=2, max_size=12)
+def entries(d, drop=()):
+    """Sorted (token, height) pairs of a diagram, without the given codes."""
+    return sorted((pass_token(k)[0], h) for k, h in pairs(d, drop))
 
 
-@given(items, st.data())
-def test_split_and_reverse_conserve_entries(x, data):
-    j2 = data.draw(st.integers(1, len(x) - 1))
-    j1 = data.draw(st.integers(0, j2 - 1))
-    keep = sorted(x[:j1] + x[j1 + 1 : j2] + x[j2 + 1 :])
-    mid, outer = op_split(x, j1, j2)
-    assert sorted(mid + outer) == keep
-    assert sorted(op_reverse(x, j1, j2)) == keep
+def pairs(d, drop=()):
+    """Sorted (code, height) pairs of a diagram, without the given codes."""
+    return sorted((k, h) for c in d.components for k, h in zip(c.codes, c.heights) if k not in drop)
 
 
-@given(items, items, st.data())
-def test_merges_conserve_entries(x, y, data):
-    j1 = data.draw(st.integers(0, len(x) - 1))
-    j2 = data.draw(st.integers(0, len(y) - 1))
-    keep = sorted(x[:j1] + x[j1 + 1 :] + y[:j2] + y[j2 + 1 :])
-    assert sorted(op_merge_fwd(x, y, j1, j2)) == keep
-    assert sorted(op_merge_back(x, y, j1, j2)) == keep
+def check_conservation(seed, same_component):
+    d = random_diagram(seed, 2, 3)
+    for cid in d.crossing_ids():
+        (l1, _), (l2, _) = locate_crossing(d, cid)
+        if (l1 == l2) != same_component:
+            continue
+        branches = codes(f"X+{cid}", f"X-{cid}")
+        first, second = resolve_crossing(Term(LaurentPoly.one(), d), cid)
+        # the split or forward child keeps every other code and height
+        assert pairs(first.diagram) == pairs(d, branches)
+        # the reversed child keeps every pass and height, directions aside
+        assert entries(second.diagram) == entries(d, branches)
+        for child in (first, second):
+            assert validate(child.diagram) == []
+        assert len(first.diagram.components) == len(d.components) + (1 if same_component else -1)
+        assert len(second.diagram.components) == len(d.components) - (0 if same_component else 1)
 
 
-def test_flip_q_codes_examples():
-    assert flip_q_codes([3, 0, 4], toks("O1", "X+1", "U1")) == [4, 0, 3]
-    assert flip_q_codes([4, 5], toks("O2", "U2")) == [5, 4]
-    section = toks("O1", "X+1", "U1", "O2")
-    codes = [3, 0, 4, 5]
-    assert flip_q_codes(flip_q_codes(codes, section), section) == codes
+@given(st.integers(0, 5000))
+def test_split_and_reverse_conserve_entries(seed):
+    check_conservation(seed, same_component=True)
 
 
-def test_flip_q_codes_length_mismatch():
-    with pytest.raises(InternalInvariantError):
-        flip_q_codes([3, 4], toks("O1"))
+@given(st.integers(0, 5000))
+def test_merges_conserve_entries(seed):
+    check_conservation(seed, same_component=False)
+
+
+def test_reverse_flips_direction_codes():
+    doc = one(["O1", "X+1", "O2", "U2", "X-1", "U1"], [1, 5, 3, 4, 5, 2], [3, 0, 4, 5, 0, 4])
+    c = parse_diagram(json.dumps(doc)).components[0]
+    back = SkeinDiagram.make([reverse_component(c)], {1: 1})
+    assert json.loads(serialize_diagram(back)) == one(
+        ["U1", "X-1", "U2", "O2", "X+1", "O1"], [2, 5, 4, 3, 5, 1], [3, 0, 4, 5, 0, 4]
+    )
+    assert reverse_component(reverse_component(c)) == c
+
+
+section_codes = st.lists(st.integers(0, 7) | st.integers(-12, -2), max_size=12)
+
+
+@given(section_codes)
+def test_reversing_twice_is_identity(ks):
+    c = Component(tuple(ks), tuple(range(1, len(ks) + 1)))
+    assert reverse_component(reverse_component(c)) == c
 
 
 def test_update_signs_examples():
     # both branches of crossing 2 inside the reversed section: unchanged
-    section = toks("O2", "U2", "X-2", "O2", "U2", "X+2")
+    section = codes("O2", "U2", "X-2", "O2", "U2", "X+2")
     assert update_signs_on_reversal({2: 1}, section) == {2: 1}
     # a single branch inside: negated
-    assert update_signs_on_reversal({3: 1}, toks("X+3")) == {3: -1}
-    assert update_signs_on_reversal({1: -1, 3: -1}, toks("X+3")) == {1: -1, 3: 1}
+    assert update_signs_on_reversal({3: 1}, codes("X+3")) == {3: -1}
+    assert update_signs_on_reversal({1: -1, 3: -1}, codes("X+3")) == {1: -1, 3: 1}
     # nothing reversed: identity
-    assert update_signs_on_reversal({1: 1, 2: -1}, []) == {1: 1, 2: -1}
+    assert update_signs_on_reversal({1: 1, 2: -1}, ()) == {1: 1, 2: -1}
 
 
 @given(st.dictionaries(st.integers(1, 6), st.sampled_from([1, -1]), max_size=6))
 def test_update_signs_is_involutive(signs):
-    section = toks("X+1", "U1", "X-3")
+    section = codes("X+1", "U1", "X-3")
     once = update_signs_on_reversal(signs, section)
     assert update_signs_on_reversal(once, section) == signs
 
 
-def test_component_wrappers_keep_lockstep(two_crossing):
-    c = two_crossing.components[0]
-    mid, outer = split_component(c, 1, 8)
-    for part in (mid, outer):
-        assert len(part.entries) == len(part.heights) == len(part.orients)
-    assert [str(h) for h in mid.heights] == ["6", "5", "7", "3", "4", "7"]
-    rev = reverse_component_section(c, 1, 8)
-    assert len(rev.entries) == len(rev.heights) == len(rev.orients) == len(c.entries) - 2
-
-    merged = merge_components_fwd(mid, outer, 0, 0)
-    assert len(merged.entries) == len(merged.heights) == len(merged.orients)
-    merged2 = merge_components_back(mid, outer, 0, 0)
-    assert len(merged2.entries) == len(merged2.heights) == len(merged2.orients)
+@given(section_codes, st.data())
+def test_component_wrappers_keep_lockstep(ks, data):
+    """Slices, sums and reversals keep each code with its height."""
+    hs = tuple(range(10, 10 + len(ks)))
+    c = Component(tuple(ks), hs)
+    a = data.draw(st.integers(0, len(ks)))
+    b = data.draw(st.integers(a, len(ks)))
+    rows = list(zip(ks, hs))
+    joined = c[b:] + c[:a]
+    assert list(zip(joined.codes, joined.heights)) == rows[b:] + rows[:a]
+    back = reverse_component(c[a:b])
+    flipped = [(k ^ 1 if k >= 0 else k, h) for k, h in reversed(rows[a:b])]
+    assert list(zip(back.codes, back.heights)) == flipped

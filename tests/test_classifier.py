@@ -6,6 +6,7 @@ import pytest
 
 from g2skein import Term, parse_diagram
 from g2skein import classifier
+from g2skein.diagram import Component, pass_code
 from g2skein.errors import InternalInvariantError
 from g2skein.laurent import BasisMonomial, LaurentPoly, SkeinPolynomial
 
@@ -38,10 +39,14 @@ def test_classify_basis_loops():
 
 
 def test_classify_rejects_impossible_sorted_curves():
-    with pytest.raises(InternalInvariantError, match="non-classifiable"):
-        classifier.classify_component(comp(["O1", "O2", "U2", "U1"], [1, 3, 4, 2], [3, 5, 4, 4]))
-    with pytest.raises(InternalInvariantError, match="non-classifiable"):
-        classifier.classify_component(comp(["O1", "O1", "U1", "U1"], [1, 2, 3, 4], [3, 3, 4, 4]))
+    # both break the region chain, so they are built past parse_diagram
+    for e, i, q in (
+        (["O1", "O2", "U2", "U1"], (1, 3, 4, 2), [3, 5, 4, 4]),
+        (["O1", "O1", "U1", "U1"], (1, 2, 3, 4), [3, 3, 4, 4]),
+    ):
+        c = Component(tuple(pass_code(t, d) for t, d in zip(e, q)), i)
+        with pytest.raises(InternalInvariantError, match="non-classifiable"):
+            classifier.classify_component(c)
 
 
 def test_winding_refuses_unresolved_components():

@@ -16,20 +16,20 @@ from g2skein.diagram import (
     Component,
     SkeinDiagram,
     dedup_key,
+    pass_code,
     relabel_heights,
     reverse_component,
     rotate_component,
 )
+from g2skein.oracle import random_diagram
 
 from conftest import TWO_COMPONENT_DOC, TWO_CROSSING_DOC, doc_text
 
 
 def mk(*comps, signs=None):
     """Build a diagram without the parse-time validation gate."""
-    from g2skein.diagram import parse_token
-
     cs = [
-        Component(tuple(parse_token(t) for t in e), tuple(i), tuple(q))
+        Component(tuple(pass_code(t, d) for t, d in zip(e, q)), tuple(i))
         for e, i, q in comps
     ]
     return SkeinDiagram.make(cs, signs or {})
@@ -99,10 +99,44 @@ def test_validate_sign_table():
 
 
 def test_validate_orientation_codes():
-    d = mk((["O1", "U1"], [1, 2], [5, 4]))
-    assert any("orientation" in p for p in validate(d))
-    d2 = mk((["X+1", "X-1"], [1, 1], [3, 0]), signs={1: 1})
-    assert any("orientation" in p for p in validate(d2))
+    # a direction code must fit its token; the pair is packed at parse time
+    for doc in (
+        {"components": [{"E": ["O1", "U1"], "I": [1, 2], "Q": [5, 4]}], "U": {}},
+        {"components": [{"E": ["X+1", "X-1"], "I": [1, 1], "Q": [3, 0]}], "U": {"1": 1}},
+    ):
+        with pytest.raises(SkeinValidationError) as exc:
+            parse_diagram(json.dumps(doc))
+        assert exc.value.violations == ["bad orientation code at component 0 entry 0"]
+
+
+def test_validate_region_continuity():
+    # O1 enters M from L, so the next strand pass must leave M
+    d = mk((["O1", "O2", "U2", "U1"], [1, 3, 4, 2], [3, 5, 4, 4]))
+    assert validate(d) == [
+        "region break at component 0 entry 1",
+        "region break at component 0 entry 3",
+    ]
+    # a lone pass never returns to the region it left
+    assert validate(mk((["O1"], [1], [3]))) == ["region break at component 0 entry 0"]
+
+
+def test_flipped_direction_codes_are_rejected():
+    """Flipping the direction of any one strand pass of a generated
+    diagram breaks the region chain, so the document no longer parses."""
+    flip = {(1, 3): 4, (1, 4): 3, (2, 4): 5, (2, 5): 4}
+    mutants = 0
+    for seed in range(200):
+        doc = json.loads(serialize_diagram(random_diagram(seed, 2, 3)))
+        for comp in doc["components"]:
+            for j, (tok, q) in enumerate(zip(comp["E"], comp["Q"])):
+                if tok[0] == "X":
+                    continue
+                comp["Q"][j] = flip[(int(tok[1]), q)]
+                with pytest.raises(SkeinValidationError, match="region break"):
+                    parse_diagram(json.dumps(doc))
+                comp["Q"][j] = q
+                mutants += 1
+    assert mutants == 840
 
 
 def test_bad_sign_value_reported():
@@ -123,13 +157,13 @@ def test_rotate_component_shifts_start():
 
 def test_rotate_full_cycle_is_identity(two_crossing):
     c = two_crossing.components[0]
-    assert rotate_component(c, len(c.entries)) == c
+    assert rotate_component(c, len(c)) == c
     assert rotate_component(c, 0) == c
 
 
 def test_rotation_preserves_dedup_key(two_crossing, two_component):
     for d in (two_crossing, two_component):
-        for k in range(1, len(d.components[0].entries)):
+        for k in range(1, len(d.components[0])):
             rot = SkeinDiagram.make(
                 [rotate_component(d.components[0], k), *d.components[1:]], d.signs()
             )

@@ -17,20 +17,13 @@ from g2skein.engine import dedup, run_pipeline, split_stage
 from g2skein.errors import SkeinValidationError, StepLimitExceeded
 from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram
-from g2skein.resolver import resolve_all
-from g2skein.sorter import sort_expression
 
 from conftest import TWO_CROSSING_DOC, UNKNOT_DOC, doc_text
+from naive import naive_value, sort_expression
 
 
 def one_term(d, coeff=None):
     return Term(coeff=coeff or LaurentPoly.one(), diagram=d)
-
-
-def naive_value(d):
-    """Every smoothing and every sort step; only exactly equal diagrams
-    merge, with no canonical key, no memo and no layer split."""
-    return evaluate(sort_expression(resolve_all([one_term(d)])))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +250,11 @@ def test_cli_validate_rejects(tmp_path):
     r = run_cli("validate", str(f))
     assert r.returncode == 1
     assert "unpaired" in r.stderr
+    # two passes in front of strand 1, both from L to M
+    f.write_text('{"components": [{"E": ["O1", "O1"], "I": [1, 2], "Q": [3, 3]}], "U": {}}')
+    r = run_cli("resolve", str(f))
+    assert r.returncode == 1
+    assert "region break" in r.stderr
 
 
 def test_cli_resolve_text(tmp_path):

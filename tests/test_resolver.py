@@ -7,9 +7,10 @@ import pytest
 from g2skein import Term, parse_diagram, serialize_diagram, validate
 from g2skein.errors import InternalInvariantError
 from g2skein.laurent import LaurentPoly
-from g2skein.resolver import locate_crossing, resolve_all, resolve_crossing
+from g2skein.resolver import locate_crossing, resolve_crossing
 
 from conftest import doc_text
+from naive import resolve_all
 
 
 def one_term(d):
@@ -60,10 +61,11 @@ def test_resolve_negative_crossing_children_exact(two_crossing):
 
 
 def test_resolve_inter_component_crossing():
+    # both branches of crossing 1 lie in region M
     doc = {
         "components": [
             {"E": ["O1", "X+1", "U1"], "I": [1, 3, 2], "Q": [3, 0, 4]},
-            {"E": ["O2", "X-1", "U2"], "I": [4, 3, 5], "Q": [4, 0, 5]},
+            {"E": ["O2", "X-1", "U2"], "I": [4, 3, 5], "Q": [5, 0, 4]},
         ],
         "U": {"1": 1},
     }
@@ -72,7 +74,7 @@ def test_resolve_inter_component_crossing():
     # both smoothings join the two cycles into one
     assert len(first.diagram.components) == 1
     assert len(second.diagram.components) == 1
-    assert len(first.diagram.components[0].entries) == 4
+    assert len(first.diagram.components[0]) == 4
     # positive crossing: t on the forward merge, 1/t on the backward one
     assert first.coeff == LaurentPoly.monomial(1)
     assert second.coeff == LaurentPoly.monomial(-1)
@@ -116,9 +118,9 @@ def test_kink_resolution_shapes(kink_pos):
     first, second = resolve_crossing(one_term(kink_pos), 1)
     # splitting a kink leaves the loop plus a detached circle
     assert len(first.diagram.components) == 2
-    assert all(not c.entries for c in first.diagram.components)
+    assert all(not c.codes for c in first.diagram.components)
     # rewiring just erases it
     assert len(second.diagram.components) == 1
-    assert not second.diagram.components[0].entries
+    assert not second.diagram.components[0].codes
     assert first.coeff == LaurentPoly.monomial(1)
     assert second.coeff == LaurentPoly.monomial(-1)

@@ -14,7 +14,6 @@ from g2skein.engine import run_pipeline
 from g2skein.errors import StepLimitExceeded
 from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram
-from g2skein.resolver import resolve_all
 from g2skein.sorter import (
     StrandPartition,
     induce_crossings,
@@ -24,11 +23,11 @@ from g2skein.sorter import (
     is_sorted,
     next_decision,
     partition,
-    sort_expression,
     sort_step,
 )
 
 from conftest import TWO_CROSSING_DOC, Y_NEG_DOC
+from naive import resolve_all, sort_expression
 
 
 def parse(doc):
