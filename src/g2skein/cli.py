@@ -100,6 +100,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"crossing expansions: {stats['crossing_expansions']}")
     print(f"sort expansions: {stats['sort_expansions']}")
     print(f"layer splits: {stats['layer_splits']}")
+    print(f"leaves valued: {stats['leaves']}")
     print(f"wall time: {elapsed:.3f}s")
     print(f"result: {poly.text()}")
     return 0

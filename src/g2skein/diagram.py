@@ -25,7 +25,12 @@ branches of crossing n have codes -2n (over) and -2n-1 (under).
 Traversing a section backwards flips bit 0 of its strand codes.
 
 Taken cyclically, the strand passes of a component chain through the
-regions: each pass starts in the region the previous one entered.
+regions: each pass starts in the region the previous one entered.  A
+crossing branch lies in the region its component's previous strand
+pass entered, and both branches of a crossing lie in one region.
+
+``dedup_key`` names a diagram up to re-encoding, starting each
+component at its lowest entry, so no rotation is searched for.
 
 The table ``U`` maps each self-crossing id to its sign.  Text form is a
 small JSON document; see ``parse_diagram``.
@@ -250,12 +255,14 @@ def serialize_diagram(d: SkeinDiagram) -> str:
 def validate(d: SkeinDiagram) -> list[str]:
     """Check every structural rule; the returned list is empty when valid."""
     out: list[str] = []
-    branches: dict[int, list[tuple[int, int]]] = {}  # id -> (under bit, height)
+    branches: dict[int, list[tuple]] = {}  # id -> (under bit, height, region)
     owners: dict[int, list[int]] = {}  # height -> crossing id, 0 for a strand pass
     for li, c in enumerate(d.components):
         if len(c.codes) != len(c.heights):
             out.append(f"length mismatch in component {li}")
             continue
+        # where the last strand pass went; None (no strand pass) fits any
+        region = next((_REGIONS[k][1] for k in reversed(c.codes) if 0 <= k <= 7), None)
         passes = []
         for j, (k, h) in enumerate(zip(c.codes, c.heights)):
             if k > 7 or k == -1:
@@ -268,9 +275,10 @@ def validate(d: SkeinDiagram) -> list[str]:
             else:
                 owners.setdefault(h, []).append(-k >> 1 if k < 0 else 0)
             if k < 0:
-                branches.setdefault(-k >> 1, []).append((k & 1, h))
+                branches.setdefault(-k >> 1, []).append((k & 1, h, region))
             else:
                 passes.append((j, k))
+                region = _REGIONS[k][1]
         for (_, prev), (j, k) in zip(passes[-1:] + passes[:-1], passes):
             if _REGIONS[prev][1] != _REGIONS[k][0]:
                 out.append(f"region break at component {li} entry {j}")
@@ -280,6 +288,8 @@ def validate(d: SkeinDiagram) -> list[str]:
             out.append(f"unpaired self-crossing {cid}")
         elif pair[0][1] != pair[1][1]:
             out.append(f"self-crossing {cid} height mismatch")
+        elif pair[0][2] and pair[1][2] and pair[0][2] != pair[1][2]:
+            out.append(f"self-crossing {cid} branches lie in regions {pair[0][2]} and {pair[1][2]}")
 
     # every nonzero height belongs to one strand pass or to the two
     # branches of one crossing
@@ -337,40 +347,6 @@ def relabel_heights(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram
 # ---------------------------------------------------------------------------
 # canonical key
 
-# rank of each strand class k >> 1 (O1, O2, U1, U2) in the key's pass
-# sequences: behind before in front, strand 1 before strand 2.  Sibling
-# diagrams are valued in key order, and the crossing a node resolves
-# first depends on which sibling reached it, so this order is kept.
-_KEY_CLASS = (1, 3, 0, 2)
-
-
-def _least_rotation(codes: tuple, ranks: tuple) -> tuple:
-    """(blind classes, ranks, directions, codes) of a component at its
-    least rotation.
-
-    The blind class of a pass is ``k >> 1`` for a strand pass and 4 or 5
-    for an over or under crossing branch: crossing ids are erased, and
-    the shared rank keeps branch pairs identifiable, so the choice does
-    not depend on how the crossings are numbered.
-    """
-    blind = tuple(k >> 1 if k >= 0 else 4 + (k & 1) for k in codes)
-    dirs = tuple(k & 1 for k in codes)
-    # the least rotation starts at the least class; only those compete
-    low = min(blind, default=None)
-    starts = [s for s in range(len(blind)) if blind[s] == low]
-    s = starts[0] if len(starts) == 1 else min(
-        starts,
-        key=lambda s: (blind[s:] + blind[:s], ranks[s:] + ranks[:s], dirs[s:] + dirs[:s]),
-        default=0,
-    )
-    return (
-        blind[s:] + blind[:s],
-        ranks[s:] + ranks[:s],
-        dirs[s:] + dirs[:s],
-        codes[s:] + codes[:s],
-    )
-
-
 def dedup_key(d: SkeinDiagram) -> tuple:
     """Totally ordered value naming the diagram's encoding orbit.
 
@@ -379,35 +355,45 @@ def dedup_key(d: SkeinDiagram) -> tuple:
     reordered, crossing ids renumbered, and in a crossing-free diagram
     components traversed backwards (the curves are unoriented; only
     crossing signs depend on the direction).  Keys of any two diagrams
-    compare without type errors, so the key serves both for bucketing
-    and for deterministic ordering.
+    compare, so the key serves for bucketing and for ordering.
+
+    Why it is canonical: each choice reads height ranks and over/under
+    only.  Only the two branches of a crossing share a height, so a
+    component starts at its one lowest entry, or at the over branch if
+    both branches are lowest.  A crossing-free component runs on toward
+    its start's lower neighbour (with at most two entries, the lesser
+    codes win).  Two components have equal rank tuples only when every
+    entry is a branch of a crossing they share; their first codes are
+    then its under and over branch, so sorting by (ranks, codes) reads
+    no crossing id.  Crossings are then numbered by first appearance.
     """
     cached = d._memo.get("key")
     if cached is not None:
         return cached
-    used = sorted({h for c in d.components for h in c.heights if h > 0})
-    rank = {h: i + 1 for i, h in enumerate(used)}
+    rank = {h: i for i, h in enumerate(sorted({h for c in d.components for h in c.heights}))}
+    reversible = not d.sign_pairs
     comps = []
     for c in d.components:
-        ranks = tuple(rank[h] if h > 0 else 0 for h in c.heights)
-        item = _least_rotation(c.codes, ranks)
-        if not d.sign_pairs:
-            back = _least_rotation(reverse_component(c).codes, ranks[::-1])
-            item = min(item, back, key=lambda it: it[:3])
-        comps.append(item)
-    comps.sort(key=lambda item: item[:3])
-    # crossings are numbered in order of first appearance
+        codes, ranks, m = c.codes, tuple([rank[h] for h in c.heights]), len(c)
+        if m:
+            s = ranks.index(min(ranks))
+            k = codes[s]
+            if k < 0 and k & 1 and k + 1 in codes:
+                s = codes.index(k + 1)
+            if reversible and (ranks[s - 1] < ranks[(s + 1) % m] if m > 2 else k & 1):
+                codes = tuple([x ^ 1 for x in codes[s::-1] + codes[:s:-1]])
+                ranks = ranks[s::-1] + ranks[:s:-1]
+            else:
+                codes, ranks = codes[s:] + codes[:s], ranks[s:] + ranks[:s]
+        comps.append((codes, ranks))
+    comps.sort(key=lambda item: (item[1], item[0]))
     renumber: dict[int, int] = {}
-    keyed = []
-    for _blind, ranks, dirs, codes in comps:
-        full = tuple(
-            _KEY_CLASS[k >> 1] if k >= 0
-            else 2 * renumber.setdefault(-k >> 1, len(renumber) + 1) + 3 - (k & 1)
+    if not reversible:
+        comps = [(tuple([
+            k if k >= 0 else -2 * renumber.setdefault(-k >> 1, len(renumber) + 1) - (k & 1)
             for k in codes
-        )
-        keyed.append((full, ranks, dirs))
+        ]), ranks) for codes, ranks in comps]
     signs = d.signs()
-    new_signs = tuple((nid, signs[old]) for old, nid in renumber.items())
-    key = (tuple(keyed), new_signs)
+    key = (tuple(comps), tuple((nid, signs[old]) for old, nid in renumber.items()))
     d._memo["key"] = key
     return key

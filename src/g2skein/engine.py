@@ -2,15 +2,17 @@
 
 A diagram's value is computed by a single depth-first walk over the
 diagrams it rewrites into.  A node that still has a crossing expands
-into its two smoothings (the crossing rule, ``resolve_stage``); a sorted
-crossing-free node is a leaf whose value the classifier reads off; an
+into its two smoothings (the crossing rule, ``resolve_stage``); an
 unsorted crossing-free node is split into height layers when it has
 more than one (the layer rule, ``split_stage``) and otherwise expands
-by one sorting slide (the sort rule, ``sort_stage``).  Every node is
-valued once per run: the memo is keyed by ``dedup_key`` and lives for
-one ``run_pipeline`` call, so diamonds in the rewriting graph and
-repeated smoothings cost a lookup.  The walk is also the only place that
-writes trace records, spends the sort budget and counts work.
+by one sorting slide (the sort rule, ``sort_stage``).  A sorted
+crossing-free child is a leaf: its parent hands all its leaves to one
+classifier call and never keys them, since classifying costs less than
+keying.  Every other node is valued once per run: the memo is keyed by
+``dedup_key`` and lives for one ``run_pipeline`` call, so diamonds in
+the rewriting graph and repeated smoothings cost a lookup.  The walk is
+also the only place that writes trace records, spends the sort budget
+and counts work.
 
 Why the layer rule is sound.  The genus-2 handlebody is P x I, with P
 the disk minus the two base strands and I the height axis of the
@@ -145,16 +147,19 @@ def _basis_value(
     """Value of a validated diagram in the basis.
 
     Depth-first with an explicit stack and one memo entry per distinct
-    diagram (up to encoding orbit).  Edges of a crossing or sort
-    expansion carry the smoothing or twist coefficients and the node's
-    value is their weighted sum; the edges of a split lead to its
-    layers and the node's value is their product.  The measure
+    diagram (up to encoding orbit) that is not a sorted leaf.  Edges of
+    a crossing or sort expansion carry the smoothing or twist
+    coefficients and the node's value is their weighted sum; the edges
+    of a split lead to its layers and the node's value is their
+    product; sorted children enter it through one ``classifier.evaluate``
+    call.  The measure
     (crossings, then strand passes, then inversions, then components)
     strictly decreases along every edge, so the walk is finite and the
     memo acyclic.  A node's diagram and edges are dropped as soon as it
     is valued.  ``max_steps`` caps the sort expansions of the run.
     ``memo`` maps keys to values already known; it is empty unless the
-    caller passes one.
+    caller passes one.  ``stats`` gets ``nodes`` (keyed nodes and the
+    root), ``leaves`` (sorted children) and the expansions per rule.
     """
 
     one = LaurentPoly.one()
@@ -162,8 +167,8 @@ def _basis_value(
         memo = {}
     # every other node has a smaller measure, so the root needs no key
     reprs: dict[Optional[tuple], SkeinDiagram] = {None: d0}
-    expansions: dict[Optional[tuple], tuple[bool, list]] = {}
-    crossings = sorts = splits = 0
+    expansions: dict[Optional[tuple], tuple[bool, SkeinPolynomial, list]] = {}
+    crossings = sorts = splits = n_leaves = 0
     stack: list[Optional[tuple]] = [None]
     while stack:
         key = stack[-1]
@@ -178,7 +183,7 @@ def _basis_value(
             if d.sign_pairs:
                 children, record = resolve_stage(t, order)
                 crossings += 1
-            elif sorter.is_fully_sorted(d):
+            elif sorter.is_fully_sorted(d):  # a sorted root
                 memo[key] = classifier.evaluate([t])
                 del reprs[key]
                 stack.pop()
@@ -195,13 +200,22 @@ def _basis_value(
                     if max_steps is not None and sorts > max_steps:
                         raise StepLimitExceeded(f"sorting exceeded {max_steps} steps")
                     children, record = sort_stage(t)
-            if not product:
-                children = dedup(children)
+            # sorted children are leaves, valued here without a key
+            leaves, inner = [], []
+            for ch in children:
+                cd = ch.diagram
+                (inner if cd.sign_pairs or not sorter.is_fully_sorted(cd) else leaves).append(ch)
+            n_leaves += len(leaves)
+            if product:
+                # the leaf layers as one term: its value is their product (1 if none)
+                leaves = [Term(one, SkeinDiagram.make([c for f in leaves for c in f.diagram.components]))]
+            else:
+                inner = dedup(inner)
             if emit is not None:
                 emit(record)
             edges = []
             pending = []
-            for ch in children:
+            for ch in inner:
                 ck = dedup_key(ch.diagram)
                 edges.append((ch.coeff, ck))
                 if ck not in memo:
@@ -209,17 +223,15 @@ def _basis_value(
                     # stack; pushing it again values it first
                     reprs.setdefault(ck, ch.diagram)
                     pending.append(ck)
-            expansion = expansions[key] = (product, edges)
+            expansion = expansions[key] = (product, classifier.evaluate(leaves), edges)
             if pending:
                 stack.extend(pending)
                 continue
-        product, edges = expansion
+        product, total, edges = expansion
         if product:
-            total = memo[edges[0][1]]
-            for _coeff, ck in edges[1:]:
+            for _coeff, ck in edges:
                 total = total * memo[ck]
         else:
-            total = SkeinPolynomial.zero()
             for coeff, ck in edges:
                 total = total + memo[ck].scaled(coeff)
         memo[key] = total
@@ -232,6 +244,7 @@ def _basis_value(
             crossing_expansions=crossings,
             sort_expansions=sorts,
             layer_splits=splits,
+            leaves=n_leaves,
         )
     return value
 

@@ -2,8 +2,13 @@
 
 import dataclasses
 import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
+
+from g2skein import engine
 
 from g2skein import (
     SkeinFormatError,
@@ -15,6 +20,7 @@ from g2skein import (
 from g2skein.diagram import (
     Component,
     SkeinDiagram,
+    crossing_code,
     dedup_key,
     pass_code,
     relabel_heights,
@@ -24,6 +30,21 @@ from g2skein.diagram import (
 from g2skein.oracle import random_diagram
 
 from conftest import TWO_COMPONENT_DOC, TWO_CROSSING_DOC, doc_text
+from naive import naive_key
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import oracles  # noqa: E402
+import workloads  # noqa: E402
+
+# crossing 1 of this document has its over branch in M and its under
+# branch in R
+SPLIT_REGIONS_DOC = {
+    "components": [
+        {"E": ["O1", "X+1", "U1"], "I": [1, 3, 2], "Q": [3, 0, 4]},
+        {"E": ["O2", "X-1", "U2"], "I": [4, 3, 5], "Q": [4, 0, 5]},
+    ],
+    "U": {"1": 1},
+}
 
 
 def mk(*comps, signs=None):
@@ -118,6 +139,15 @@ def test_validate_region_continuity():
     ]
     # a lone pass never returns to the region it left
     assert validate(mk((["O1"], [1], [3]))) == ["region break at component 0 entry 0"]
+
+
+def test_validate_crossing_regions():
+    with pytest.raises(SkeinValidationError) as exc:
+        parse_diagram(doc_text(SPLIT_REGIONS_DOC))
+    assert exc.value.violations == ["self-crossing 1 branches lie in regions M and R"]
+    # a component without strand passes fits any region
+    loop = mk((["O1", "X+1", "U1"], [1, 3, 2], [3, 0, 4]), (["X-1"], [3], [0]), signs={1: 1})
+    assert validate(loop) == []
 
 
 def test_flipped_direction_codes_are_rejected():
@@ -228,3 +258,47 @@ def test_dedup_key_separates_fixtures(y_neg, y_pos, two_crossing, unknot):
     ds = [y_neg, y_pos, two_crossing, unknot]
     keys = [dedup_key(d) for d in ds]
     assert len(set(keys)) == len(ds)
+
+
+def reencode(d, rng):
+    """A random re-encoding of ``d``: components shuffled and rotated,
+    reversed at random when ``d`` has no crossings, heights relabelled
+    and crossings renumbered."""
+    ids = d.crossing_ids()
+    rename = dict(zip(ids, rng.sample(range(1, 3 * len(ids) + 2), len(ids))))
+    comps = []
+    for c in d.components:
+        if not ids and rng.random() < 0.5:
+            c = reverse_component(c)
+        c = rotate_component(c, rng.randrange(len(c) + 1))
+        codes = tuple(k if k >= 0 else crossing_code(rename[-k >> 1], not k & 1) for k in c.codes)
+        comps.append(Component(codes, c.heights))
+    rng.shuffle(comps)
+    out = SkeinDiagram.make(comps, {rename[cid]: sign for cid, sign in d.sign_pairs})
+    used = sorted({h for c in comps for h in c.heights})
+    images = sorted(rng.sample(range(1, 4 * len(used) + 2), len(used)))
+    return relabel_heights(out, dict(zip(used, images)))
+
+
+def test_dedup_key_partition_matches_brute_force(monkeypatch):
+    """Two diagrams get equal keys exactly when their brute-force orbit
+    keys agree: on every diagram the walk keys for 40 generated diagrams
+    and for a braid closure, and on random re-encodings of those."""
+    keyed = []
+
+    def spy(d):
+        keyed.append(d)
+        return dedup_key(d)
+
+    monkeypatch.setattr(engine, "dedup_key", spy)
+    for s in range(40):
+        engine.run_pipeline(random_diagram(s, 2, 3))
+    braid = oracles.braid_document(workloads.BRAID_WORD[:8], workloads.BRAID_STRANDS)
+    engine.run_pipeline(parse_diagram(json.dumps(braid)))
+    monkeypatch.undo()
+    ds = list(dict.fromkeys(keyed))
+    rng = random.Random(5)
+    ds += [reencode(d, rng) for d in ds for _ in range(2)]
+    pairs = {(dedup_key(d), naive_key(d)) for d in ds}
+    assert len({k for k, _ in pairs}) == len({n for _, n in pairs}) == len(pairs)
+    assert len(pairs) < len(ds) / 3

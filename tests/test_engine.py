@@ -16,9 +16,10 @@ from g2skein.classifier import evaluate
 from g2skein.engine import dedup, run_pipeline, split_stage
 from g2skein.errors import SkeinValidationError, StepLimitExceeded
 from g2skein.laurent import LaurentPoly
-from g2skein.oracle import random_diagram
+from g2skein.oracle import random_diagram, random_diagram_with_crossings
 
 from conftest import TWO_CROSSING_DOC, UNKNOT_DOC, doc_text
+from test_diagram import SPLIT_REGIONS_DOC
 from naive import naive_value, sort_expression
 
 
@@ -126,6 +127,21 @@ def test_runs_share_no_memo(two_crossing):
     assert first["sort_expansions"] > 0
 
 
+def expansions(d):
+    stats = {}
+    run_pipeline(d, stats=stats)
+    return stats["crossing_expansions"], stats["sort_expansions"], stats["layer_splits"]
+
+
+def test_expansion_counts_are_pinned():
+    """(crossing, sort, split) expansions of the walk on generated
+    diagrams; a change that moves work between the rules shows here."""
+    assert expansions(random_diagram_with_crossings(11, 10, 10)) == (853, 2508, 548)
+    assert expansions(random_diagram(172, 2, 3)) == (7, 847, 165)
+    sums = [expansions(random_diagram(s, 2, 3)) for s in range(150)]
+    assert tuple(map(sum, zip(*sums))) == (196, 2773, 444)
+
+
 def test_step_limit_propagates(y_neg):
     with pytest.raises(StepLimitExceeded):
         run_pipeline(y_neg, max_steps=0)
@@ -144,10 +160,11 @@ def test_stats_and_trace(tmp_path, two_crossing):
     assert out.text() == "(1 + -1*t^4)*x*z^2 + (-1*t^-4)*x + (-1*t^6)*y*z"
     assert stats.pop("seconds") >= 0
     assert stats == {
-        "nodes": 25,
+        "nodes": 15,
         "crossing_expansions": 3,
         "sort_expansions": 7,
         "layer_splits": 5,
+        "leaves": 20,
     }
     lines = [json.loads(l) for l in trace_file.read_text().splitlines()]
     stages = [l["stage"] for l in lines]
@@ -255,6 +272,10 @@ def test_cli_validate_rejects(tmp_path):
     r = run_cli("resolve", str(f))
     assert r.returncode == 1
     assert "region break" in r.stderr
+    f.write_text(doc_text(SPLIT_REGIONS_DOC))
+    r = run_cli("resolve", str(f))
+    assert r.returncode == 1
+    assert r.stderr.strip() == "error: self-crossing 1 branches lie in regions M and R"
 
 
 def test_cli_resolve_text(tmp_path):
@@ -313,3 +334,4 @@ def test_cli_bench_runs(tmp_path):
     assert "wall time" in r.stdout
     assert "sort expansions" in r.stdout
     assert "layer splits" in r.stdout
+    assert "leaves valued" in r.stdout

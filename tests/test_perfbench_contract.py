@@ -18,7 +18,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "workload, trace",
-    [("braid", "0"), ("braid", "1"), ("traced", "1"), ("batch", "0"), ("crossings-10", "0")],
+    [
+        ("braid", "0"), ("braid", "1"), ("traced", "1"), ("batch", "0"), ("batch", "1"),
+        ("crossings-10", "0"), ("crossings-10", "1"),
+    ],
 )
 def test_benchmark_runs_clean(workload, trace):
     r = subprocess.run(
