@@ -75,9 +75,11 @@ def term_to_monomial(t: Term) -> tuple[BasisMonomial, LaurentPoly]:
 
 
 def evaluate(e: Expression) -> SkeinPolynomial:
-    """Accumulate an expression of sorted terms into a polynomial."""
-    acc = SkeinPolynomial.zero()
+    """Sum an expression of sorted terms into a polynomial."""
+    sums: dict = {}
     for t in e:
         mono, coeff = term_to_monomial(t)
-        acc = acc.accumulate(mono, coeff)
-    return acc
+        acc = sums.setdefault(mono, {})
+        for exp, c in coeff.terms:
+            acc[exp] = acc.get(exp, 0) + c
+    return SkeinPolynomial.collect(sums)

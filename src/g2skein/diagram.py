@@ -60,6 +60,7 @@ __all__ = [
     "rotate_component",
     "reverse_component",
     "relabel_heights",
+    "height_ranks",
     "dedup_key",
 ]
 
@@ -132,8 +133,9 @@ class SkeinDiagram:
 
     components: tuple[Component, ...]
     sign_pairs: tuple[tuple[int, int], ...]
-    # per-object scratch cache for derived data (canonical key, pooled
-    # heights); excluded from equality and hashing, mutated in place
+    # per-object scratch cache for derived data (canonical key, height
+    # ranks, pooled heights); excluded from equality and hashing,
+    # mutated in place
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
@@ -323,7 +325,7 @@ def rotate_component(c: Component, offset: int) -> Component:
 
 def reverse_component(c: Component) -> Component:
     """Traverse the same curve backwards: arrays reversed, directions flipped."""
-    codes = tuple(k ^ 1 if k >= 0 else k for k in reversed(c.codes))
+    codes = tuple([k ^ 1 if k >= 0 else k for k in reversed(c.codes)])
     return Component(codes, c.heights[::-1])
 
 
@@ -346,6 +348,15 @@ def relabel_heights(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram
 
 # ---------------------------------------------------------------------------
 # canonical key
+
+def height_ranks(d: SkeinDiagram) -> dict[int, int]:
+    """Each height's rank among the diagram's heights, cached on ``d``."""
+    rank = d._memo.get("rank")
+    if rank is None:
+        heights = sorted({h for c in d.components for h in c.heights})
+        rank = d._memo["rank"] = {h: i for i, h in enumerate(heights)}
+    return rank
+
 
 def dedup_key(d: SkeinDiagram) -> tuple:
     """Totally ordered value naming the diagram's encoding orbit.
@@ -370,11 +381,11 @@ def dedup_key(d: SkeinDiagram) -> tuple:
     cached = d._memo.get("key")
     if cached is not None:
         return cached
-    rank = {h: i for i, h in enumerate(sorted({h for c in d.components for h in c.heights}))}
+    rank = height_ranks(d)
     reversible = not d.sign_pairs
     comps = []
     for c in d.components:
-        codes, ranks, m = c.codes, tuple([rank[h] for h in c.heights]), len(c)
+        codes, ranks, m = c.codes, tuple(map(rank.__getitem__, c.heights)), len(c.codes)
         if m:
             s = ranks.index(min(ranks))
             k = codes[s]

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 from . import classifier, resolver, sorter
@@ -66,8 +65,9 @@ def dedup(e: Expression) -> Expression:
     for t in e:
         key = dedup_key(t.diagram)
         prior = buckets.get(key)
-        buckets[key] = t if prior is None else replace(prior, coeff=prior.coeff + t.coeff)
-    return [t for _k, t in sorted(buckets.items(), key=lambda kv: kv[0]) if t.coeff]
+        buckets[key] = t if prior is None else Term(prior.coeff + t.coeff, prior.diagram)
+    # keys are distinct, so the pairs sort by key alone
+    return [t for _k, t in sorted(buckets.items()) if t.coeff]
 
 
 def resolve_stage(t: Term, order: Optional[Sequence[int]]) -> tuple[list[Term], dict]:
@@ -231,9 +231,12 @@ def _basis_value(
         if product:
             for _coeff, ck in edges:
                 total = total * memo[ck]
-        else:
+        elif edges:
+            sums: dict = {}
+            total.scale_into(sums, one)
             for coeff, ck in edges:
-                total = total + memo[ck].scaled(coeff)
+                memo[ck].scale_into(sums, coeff)
+            total = SkeinPolynomial.collect(sums)
         memo[key] = total
         del reprs[key], expansions[key]
         stack.pop()

@@ -6,13 +6,14 @@ combinations of basis monomials x^a y^b z^c with Laurent coefficients;
 ``SkeinPolynomial`` holds such a combination.
 
 Everything here is immutable.  Arithmetic returns new objects and never
-keeps zero coefficients around.
+keeps zero coefficients around.  ``LaurentPoly`` and ``BasisMonomial``
+are named tuples: they are built and hashed for every term of the walk,
+and a tuple is cheaper at both than a frozen dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 __all__ = [
     "LaurentPoly",
@@ -28,8 +29,7 @@ def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(NamedTuple):
     """Integer Laurent polynomial in t, stored sparsely.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs with strictly
@@ -88,6 +88,12 @@ class LaurentPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return LaurentPoly()
+        if len(self.terms) > len(other.terms):
+            self, other = other, self
+        if len(self.terms) == 1:
+            # times c * t^k, exponents stay ascending and nothing cancels
+            ((k, c),) = self.terms
+            return LaurentPoly(tuple([(e + k, c * v) for e, v in other.terms]))
         prods = [
             (e1 + e2, c1 * c2)
             for e1, c1 in self.terms
@@ -97,7 +103,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k (shift every exponent by k)."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self.terms))
+        return LaurentPoly(tuple([(e + k, c) for e, c in self.terms]))
 
     def scaled(self, n: int) -> "LaurentPoly":
         if n == 0:
@@ -126,8 +132,7 @@ class LaurentPoly:
 _FACTOR_NAMES = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
-class BasisMonomial:
+class BasisMonomial(NamedTuple):
     """Product of basis curves: x^x y^y z^z, all powers >= 0."""
 
     x: int = 0
@@ -158,68 +163,71 @@ class BasisMonomial:
         return self.text()
 
 
-ONE = BasisMonomial()
-
-
 class SkeinPolynomial:
     """Linear combination of ``BasisMonomial`` terms with Laurent coefficients.
 
-    Treated as immutable: every operation returns a fresh object.
-    Equality compares the underlying monomial -> coefficient mappings.
+    Treated as immutable: every operation returns a fresh object.  The
+    nonzero (monomial, coefficient) pairs are kept in one tuple, highest
+    monomial first: the rendering order, so equal polynomials hold equal
+    tuples, and a memoized value costs less than with a dict.  Sums go
+    into one ``{monomial: {exponent: coefficient}}`` dict
+    (``scale_into``), made a polynomial once (``collect``).
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[BasisMonomial, LaurentPoly] | None = None):
-        cleaned: dict[BasisMonomial, LaurentPoly] = {}
-        if entries:
-            for mono, coeff in entries.items():
-                if coeff:
-                    cleaned[mono] = coeff
-        self._entries = cleaned
+        pairs = (entries or {}).items()
+        self._entries = tuple(sorted([(mono, coeff) for mono, coeff in pairs if coeff], reverse=True))
 
     @staticmethod
     def zero() -> "SkeinPolynomial":
         return SkeinPolynomial()
 
+    @staticmethod
+    def collect(sums: Mapping[BasisMonomial, Mapping[int, int]]) -> "SkeinPolynomial":
+        """The polynomial of ``{monomial: {exponent: coefficient}}``."""
+        return SkeinPolynomial({
+            mono: LaurentPoly(tuple(sorted([item for item in coeffs.items() if item[1]])))
+            for mono, coeffs in sums.items()
+        })
+
+    def scale_into(self, sums: dict, coeff: LaurentPoly, mono: Optional[BasisMonomial] = None) -> None:
+        """Add ``coeff * self`` (times ``mono`` if given) into ``sums``, in place."""
+        for m, c in self._entries:
+            acc = sums.setdefault(m if mono is None else m * mono, {})
+            for e1, c1 in c.terms:
+                for e2, c2 in coeff.terms:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+
     def accumulate(self, mono: BasisMonomial, coeff: LaurentPoly) -> "SkeinPolynomial":
         """Return self + coeff * mono."""
-        if not coeff:
-            return self
-        entries = dict(self._entries)
-        prior = entries.get(mono, LaurentPoly.zero())
-        total = prior + coeff
-        if total:
-            entries[mono] = total
-        else:
-            entries.pop(mono, None)
-        return SkeinPolynomial(entries)
+        return self + SkeinPolynomial({mono: coeff})
 
     def __add__(self, other: "SkeinPolynomial") -> "SkeinPolynomial":
         if not isinstance(other, SkeinPolynomial):
             return NotImplemented
-        out = self
-        for mono, coeff in other._entries.items():
-            out = out.accumulate(mono, coeff)
-        return out
+        sums: dict = {}
+        for p in (self, other):
+            p.scale_into(sums, LaurentPoly.one())
+        return SkeinPolynomial.collect(sums)
 
     def scaled(self, coeff: LaurentPoly) -> "SkeinPolynomial":
-        return SkeinPolynomial({m: c * coeff for m, c in self._entries.items()})
+        return SkeinPolynomial({m: c * coeff for m, c in self._entries})
 
     def __mul__(self, other: "SkeinPolynomial") -> "SkeinPolynomial":
         if not isinstance(other, SkeinPolynomial):
             return NotImplemented
-        out = SkeinPolynomial()
-        for m1, c1 in self._entries.items():
-            for m2, c2 in other._entries.items():
-                out = out.accumulate(m1 * m2, c1 * c2)
-        return out
+        sums: dict = {}
+        for m, c in other._entries:
+            self.scale_into(sums, c, m)
+        return SkeinPolynomial.collect(sums)
 
     def is_zero(self) -> bool:
         return not self._entries
 
     def coefficient(self, mono: BasisMonomial) -> LaurentPoly:
-        return self._entries.get(mono, LaurentPoly.zero())
+        return dict(self._entries).get(mono, LaurentPoly.zero())
 
     def items(self) -> Iterator[tuple[BasisMonomial, LaurentPoly]]:
         """Monomial/coefficient pairs, highest monomial first.
@@ -227,16 +235,12 @@ class SkeinPolynomial:
         Ordering is by descending exponent tuple, which keeps products
         like x*z ahead of single low factors in the rendered text.
         """
-        return iter(sorted(self._entries.items(), key=lambda kv: kv[0].powers(), reverse=True))
+        return iter(self._entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SkeinPolynomial):
             return NotImplemented
         return self._entries == other._entries
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def text(self) -> str:
         """Canonical rendering, e.g. ``(-1*t^-2)*x*z + (-1*t^-4)*y``."""

@@ -18,32 +18,42 @@ positive crossing puts the coefficient t on the split/forward child and
 1/t on the reversed child; a negative crossing swaps the two.  A reversed
 section changes the sign of every crossing with exactly one branch in
 it; a crossing with both branches or none inside keeps its sign.
+
+``smoothings`` is the one smoothing core: on bare components and a sign
+table it returns each child as (components, signs, exponent of t), so
+the sorter's slide smooths its crossings in a row and builds a term only
+at the end.  ``resolve_crossing`` wraps it for one crossing of a term.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .diagram import SkeinDiagram, Term, crossing_code, reverse_component
+from .diagram import Component, SkeinDiagram, Term, crossing_code, reverse_component
 from .errors import InternalInvariantError
 
-__all__ = ["locate_crossing", "resolve_crossing", "update_signs_on_reversal"]
+__all__ = ["locate_crossing", "smoothings", "resolve_crossing", "update_signs_on_reversal"]
 
 
-def locate_crossing(d: SkeinDiagram, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Positions of the two branches as ((l1,j1),(l2,j2)), sorted."""
-    branch_codes = (crossing_code(cid, True), crossing_code(cid, False))
-    hits = [
-        (li, j)
-        for li, c in enumerate(d.components)
-        for j, k in enumerate(c.codes)
-        if k in branch_codes
-    ]
+def _branch_spots(
+    comps: Sequence[Component], cid: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    hits = []
+    for li, c in enumerate(comps):
+        for k in (crossing_code(cid, True), crossing_code(cid, False)):
+            n = c.codes.count(k)
+            if n:  # a repeated branch shows as a third hit
+                hits += [(li, c.codes.index(k))] * n
     if len(hits) != 2:
         raise InternalInvariantError(
             f"crossing {cid} has {len(hits)} branches, expected 2"
         )
-    return hits[0], hits[1]
+    return min(hits), max(hits)
+
+
+def locate_crossing(d: SkeinDiagram, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Positions of the two branches as ((l1,j1),(l2,j2)), sorted."""
+    return _branch_spots(d.components, cid)
 
 
 def update_signs_on_reversal(
@@ -59,39 +69,45 @@ def update_signs_on_reversal(
     }
 
 
+def smoothings(
+    comps: tuple[Component, ...], signs: Mapping[int, int], cid: int
+) -> tuple[tuple[tuple, dict, int], tuple[tuple, dict, int]]:
+    """Smooth crossing ``cid``: the (components, signs, exponent) of the
+    split-or-forward child, then of the reversed child."""
+    (l1, j1), (l2, j2) = _branch_spots(comps, cid)
+    k, h = comps[l1].codes, comps[l1].heights
+    if l1 == l2:
+        before, after, rest = comps[:l1], comps[l1 + 1 :], j2 + 1
+        section = Component(k[j1 + 1 : j2], h[j1 + 1 : j2])
+    else:
+        ky, hy = comps[l2].codes, comps[l2].heights
+        before, after, rest = comps[:l1], comps[l1 + 1 : l2] + comps[l2 + 1 :], j1 + 1
+        section = Component(ky[j2 + 1 :] + ky[:j2], hy[j2 + 1 :] + hy[:j2])
+
+    def spliced(part: Component) -> Component:
+        # c[:j1] + part + c[rest:], built once from the tuples
+        return Component(k[:j1] + part.codes + k[rest:], h[:j1] + part.heights + h[rest:])
+
+    if l1 == l2:  # split: the section, and the cycle without it
+        first = before + (section, spliced(Component((), ()))) + after
+    else:  # merge forward
+        first = before + (spliced(section),) + after
+    second = before + (spliced(reverse_component(section)),) + after
+    rest_signs = dict(signs)
+    sign = rest_signs.pop(cid)
+    flipped = update_signs_on_reversal(rest_signs, section.codes) if rest_signs else rest_signs
+    return (first, rest_signs, sign), (second, flipped, -sign)
+
+
 def resolve_crossing(t: Term, cid: int) -> tuple[Term, Term]:
     """Smooth one crossing; returns (split-or-forward, reversed) children."""
     signs = t.diagram.signs()
     if cid not in signs:
         raise InternalInvariantError(f"no such crossing {cid}")
-    sign = signs.pop(cid)
-    (l1, j1), (l2, j2) = locate_crossing(t.diagram, cid)
-    comps = t.diagram.components
-
-    if l1 == l2:
-        c = comps[l1]
-        before, after = comps[:l1], comps[l1 + 1 :]
-        mid = c[j1 + 1 : j2]
-        first_comps = before + (mid, c[:j1] + c[j2 + 1 :]) + after
-        second_comps = before + (c[:j1] + reverse_component(mid) + c[j2 + 1 :],) + after
-        reversed_codes = mid.codes
-    else:
-        cx, cy = comps[l1], comps[l2]
-        before, after = comps[:l1], comps[l1 + 1 : l2] + comps[l2 + 1 :]
-        y_part = cy[j2 + 1 :] + cy[:j2]
-        first_comps = before + (cx[:j1] + y_part + cx[j1 + 1 :],) + after
-        second_comps = before + (cx[:j1] + reverse_component(y_part) + cx[j1 + 1 :],) + after
-        reversed_codes = y_part.codes
-
-    first = Term(
-        coeff=t.coeff.shift(sign),
-        diagram=SkeinDiagram.make(first_comps, signs),
+    return tuple(
+        Term(t.coeff.shift(exp), SkeinDiagram.make(comps, child_signs))
+        for comps, child_signs, exp in smoothings(t.diagram.components, signs, cid)
     )
-    second = Term(
-        coeff=t.coeff.shift(-sign),
-        diagram=SkeinDiagram.make(second_comps, update_signs_on_reversal(signs, reversed_codes)),
-    )
-    return first, second
 
 
 def _next_crossing(signs: dict[int, int], order: Sequence[int] | None) -> int:

@@ -6,9 +6,13 @@ lowest offending (front, behind) height pair, slides the two passes
 past each other (swapping their heights), and pays for the slide by
 inserting the self-crossings the move creates, which are resolved on
 the spot.  Two adjacent passes cost one crossing (a twist); separated
-passes cost a pair of opposite crossings.  Each step removes exactly
-one height inversion from every child, which is what guarantees
-termination and what the progress monitor checks.
+passes cost a pair of opposite crossings.  A slide is one pass over the
+parent's arrays: ``induce_crossings`` finds both passes in one scan and
+rebuilds only the touched components, and ``sort_step`` smooths the new
+crossings with the resolver's core on bare components
+(``resolver.smoothings``), building a term only for each final child.
+Each step removes exactly one height inversion from every child, which
+is what guarantees termination and what the progress monitor checks.
 
 Strand passes are read off their codes (see ``diagram``): ``k >> 1`` is
 0 or 1 for a pass in front of strand 1 or 2 and 2 or 3 for one behind
@@ -18,11 +22,10 @@ it, and ``k & 1`` is set when the pass runs right to left.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
-from dataclasses import replace
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import resolver
-from .diagram import Component, SkeinDiagram, Term, crossing_code, rotate_component
+from .diagram import Component, SkeinDiagram, Term, crossing_code, height_ranks, rotate_component
 from .errors import InternalInvariantError
 from .laurent import LaurentPoly
 
@@ -30,7 +33,6 @@ __all__ = [
     "StrandPartition",
     "SwapChoice",
     "partition",
-    "is_sorted",
     "is_fully_sorted",
     "inversion_count",
     "induction_decision",
@@ -58,10 +60,11 @@ def partition(d: SkeinDiagram, strand: int) -> StrandPartition:
     if cached is not None:
         return cached
     pools: tuple[list[int], ...] = ([], [], [], [])
+    add = [pool.append for pool in pools]
     for c in d.components:
         for k, h in zip(c.codes, c.heights):
             if k >= 0:
-                pools[k >> 1].append(h)
+                add[k >> 1](h)
     # both strands are pooled in one pass; the other is asked for next
     for s in (1, 2):
         over, under = pools[s - 1], pools[s + 1]
@@ -69,15 +72,9 @@ def partition(d: SkeinDiagram, strand: int) -> StrandPartition:
     return d._memo[strand]
 
 
-def is_sorted(d: SkeinDiagram, strand: int) -> bool:
-    p = partition(d, strand)
-    if not p.over or not p.under:
-        return True
-    return p.over[-1] < p.under[0]
-
-
 def is_fully_sorted(d: SkeinDiagram) -> bool:
-    return is_sorted(d, 1) and is_sorted(d, 2)
+    # a strand is sorted exactly when it has no inversion
+    return inversion_count(d) == 0
 
 
 def inversion_count(d: SkeinDiagram) -> int:
@@ -122,45 +119,6 @@ def next_decision(d: SkeinDiagram) -> Optional[tuple[int, SwapChoice]]:
 # ---------------------------------------------------------------------------
 # crossing induction
 
-def _locate_pass(d: SkeinDiagram, height: int, over: bool) -> tuple[int, int, int]:
-    """(component, position, code) of the strand pass at ``height``."""
-    for li, c in enumerate(d.components):
-        for j, (k, h) in enumerate(zip(c.codes, c.heights)):
-            if k >= 0 and h == height:
-                if (not k & 4) != over:
-                    kind = "front" if over else "behind"
-                    raise InternalInvariantError(
-                        f"pass at height {height} is not a {kind} pass"
-                    )
-                return li, j, k
-    raise InternalInvariantError(f"no strand pass at height {height}")
-
-
-def _with_component(d: SkeinDiagram, li: int, c: Component) -> SkeinDiagram:
-    comps = d.components[:li] + (c,) + d.components[li + 1 :]
-    return SkeinDiagram(comps, d.sign_pairs)
-
-
-def _swap_heights(d: SkeinDiagram, spot_a: tuple[int, int], spot_b: tuple[int, int]) -> SkeinDiagram:
-    (la, ja), (lb, jb) = spot_a, spot_b
-    ha = d.components[la].heights[ja]
-    hb = d.components[lb].heights[jb]
-    comps = list(d.components)
-    for (li, j, h) in ((la, ja, hb), (lb, jb, ha)):
-        c = comps[li]
-        comps[li] = Component(c.codes, c.heights[:j] + (h,) + c.heights[j + 1 :])
-    return SkeinDiagram(tuple(comps), d.sign_pairs)
-
-
-def _insert_branches(c: Component, inserts: Iterable[tuple[int, int]]) -> Component:
-    """Insert branch codes at the given slots (computed pre-insertion)."""
-    codes, heights = list(c.codes), list(c.heights)
-    for pos, k in sorted(inserts, reverse=True):
-        codes.insert(pos, k)
-        heights.insert(pos, 0)
-    return Component(tuple(codes), tuple(heights))
-
-
 def induce_crossings(t: Term, a: int, c: int) -> Term:
     """Swap the heights of the behind pass at a and front pass at c, and
     insert the self-crossings that pay for the slide.
@@ -170,70 +128,59 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
     by the twist compensation -t^(-3 sign); everything else gets a
     cancelling crossing pair on the two sides of the strand.  New
     branches carry placeholder height 0; the sign table of the result
-    holds exactly the new crossings.
+    holds exactly the new crossings.  One scan finds both passes, and
+    each touched component is rebuilt once per flanked section.
     """
-    if t.diagram.sign_pairs:
+    d = t.diagram
+    if d.sign_pairs:
         raise InternalInvariantError("crossing induction on an unresolved term")
     if not a < c:
         raise InternalInvariantError(f"swap pair out of order: {a} >= {c}")
-    d = t.diagram
-    la, ja, ka = _locate_pass(d, a, over=False)
-    lc, jc, kc = _locate_pass(d, c, over=True)
+    comps = list(d.components)
+    spots = {
+        h: (li, x.heights.index(h)) for li, x in enumerate(comps) for h in (a, c) if h in x.heights
+    }
+    if len(spots) != 2:
+        raise InternalInvariantError(f"no strand pass at height {c if a in spots else a}")
+    (la, ja), (lc, jc) = spots[a], spots[c]
+    ka, kc = comps[la].codes[ja], comps[lc].codes[jc]
+    if not ka & 4 or kc & 4:
+        raise InternalInvariantError(f"heights {a} and {c} are not a behind and a front pass")
     if (ka ^ kc) & 2:
         raise InternalInvariantError("swap pair spans both strands")
 
-    d = _swap_heights(d, (la, ja), (lc, jc))
-
-    same = la == lc
-    m = len(d.components[la]) if same else 0
-    adjacent = same and (abs(ja - jc) == 1 or (m > 2 and {ja, jc} == {0, m - 1}))
-
-    if adjacent:
-        if {ja, jc} == {0, m - 1} and abs(ja - jc) != 1:
+    m = len(comps[la])
+    if la == lc and (abs(ja - jc) == 1 or (m > 2 and {ja, jc} == {0, m - 1})):
+        if abs(ja - jc) != 1:
             # bring the seam-straddling pair together; the start point of
             # the traversal is arbitrary, so this is the same curve
-            d = _with_component(d, la, rotate_component(d.components[la], m - 1))
-            ja, jc = (0, 1) if ja == m - 1 else (1, 0)
-        first, second = (ja, jc) if ja < jc else (jc, ja)
-        comp = d.components[la]
-        over_first = first == jc
-        eps = 1 if comp.codes[first] & 1 else -1
-        comp = _insert_branches(comp, [
-            (first, crossing_code(1, over_first)),
-            (second + 1, crossing_code(1, not over_first)),
-        ])
-        d = _with_component(d, la, comp)
+            comps[la] = rotate_component(comps[la], m - 1)
+            ja, jc = (ja + 1) % m, (jc + 1) % m
+        first = min(ja, jc)
+        eps = 1 if comps[la].codes[first] & 1 else -1
+        # (component, start, end, branch before, branch after) of a section
+        flanks = [(la, first, first + 2, crossing_code(1, first == jc), crossing_code(1, first != jc))]
         new_signs = {1: eps}
         coeff = t.coeff * LaurentPoly.monomial(-3 * eps, -1)
     else:
-        rtl_a, rtl_c = ka & 1, kc & 1
-        eps1 = 1 if rtl_a == rtl_c else -1
+        eps1 = 1 if ka & 1 == kc & 1 else -1
         new_signs = {1: eps1, 2: -eps1}
-
-        def flank(j: int, rtl: int, over: bool) -> list[tuple[int, int]]:
-            before_id, after_id = (2, 1) if rtl else (1, 2)
-            return [
-                (j, crossing_code(before_id, over)),
-                (j + 1, crossing_code(after_id, over)),
-            ]
-
-        if same:
-            comp = _insert_branches(
-                d.components[la],
-                flank(ja, rtl_a, False) + flank(jc, rtl_c, True),
-            )
-            d = _with_component(d, la, comp)
-        else:
-            d = _with_component(
-                d, la, _insert_branches(d.components[la], flank(ja, rtl_a, False))
-            )
-            d = _with_component(
-                d, lc, _insert_branches(d.components[lc], flank(jc, rtl_c, True))
-            )
+        flanks = []
+        for li, j, k, over in ((la, ja, ka, False), (lc, jc, kc, True)):
+            # going right to left, crossing 2 comes before the pass
+            ids = (2, 1) if k & 1 else (1, 2)
+            flanks.append((li, j, j + 1, crossing_code(ids[0], over), crossing_code(ids[1], over)))
         coeff = t.coeff
 
-    out = SkeinDiagram.make(d.components, new_signs)
-    return replace(t, coeff=coeff, diagram=out)
+    swap = {a: c, c: a}
+    # later sections first, so that earlier positions stay put
+    for li, start, end, before, after in sorted(flanks, reverse=True):
+        codes, hs = comps[li].codes, comps[li].heights
+        comps[li] = Component(
+            codes[:start] + (before,) + codes[start:end] + (after,) + codes[end:],
+            hs[:start] + (0,) + tuple([swap[h] for h in hs[start:end]]) + (0,) + hs[end:],
+        )
+    return Term(coeff, SkeinDiagram.make(comps, new_signs))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +192,12 @@ def sort_step(
 ) -> Optional[list[Term]]:
     """One slide on the first unsorted strand; None when nothing to do.
 
-    Every child must come back with strictly fewer inversions (or
-    strictly fewer strand passes) than the parent, otherwise the
-    progress monitor aborts.  A caller that already ran
-    ``next_decision`` can pass the result along.
+    The induced crossings are smoothed in ascending id order.  A slide
+    keeps the set of heights, so the children share the parent's height
+    ranks (``diagram.height_ranks``).  Every child must come back with
+    strictly fewer inversions (or strictly fewer strand passes) than the
+    parent, otherwise the progress monitor aborts.  A caller that already
+    ran ``next_decision`` can pass the result along.
     """
     d = t.diagram
     if d.sign_pairs:
@@ -259,21 +208,24 @@ def sort_step(
         return None
     _strand, choice = decision
 
-    before_inv = inversion_count(d)
-    before_passes = d.strand_pass_count()
-
     staged = induce_crossings(t, choice.under_height, choice.over_height)
-    pending = [staged]
-    for cid in sorted(staged.diagram.signs()):
-        nxt = []
-        for term in pending:
-            nxt.extend(resolver.resolve_crossing(term, cid))
-        pending = nxt
+    states = [(staged.diagram.components, staged.diagram.signs(), 0)]
+    for cid in staged.diagram.crossing_ids():
+        states = [
+            (child_comps, child_signs, exp + shift)
+            for comps, signs, exp in states
+            for child_comps, child_signs, shift in resolver.smoothings(comps, signs, cid)
+        ]
+    rank = height_ranks(d)
+    children = [
+        Term(staged.coeff.shift(exp), SkeinDiagram(comps, (), {"rank": rank}))
+        for comps, _signs, exp in states
+    ]
 
-    for child in pending:
+    for child in children:
         if not (
-            inversion_count(child.diagram) < before_inv
-            or child.diagram.strand_pass_count() < before_passes
+            inversion_count(child.diagram) < inversion_count(d)
+            or child.diagram.strand_pass_count() < d.strand_pass_count()
         ):
             raise InternalInvariantError("sorting step made no progress")
-    return pending
+    return children

@@ -1,19 +1,20 @@
 """The naive references the memoized walk is checked against.
 
 Every smoothing and every sort step, built on ``resolve_crossing`` and
-``sort_step`` alone: no canonical key, no memo and no layer split.  And
-an orbit key found by trying every re-encoding, for the canonical key.
+a slide written here entry by entry: no canonical key, no memo, no layer
+split, and none of ``sort_step``'s one-pass slide.  And an orbit key
+found by trying every re-encoding, for the canonical key.
 """
 
 from itertools import permutations, product
-from typing import Sequence
+from typing import Optional, Sequence
 
 from g2skein import Term
 from g2skein.classifier import evaluate
-from g2skein.diagram import Expression, SkeinDiagram
+from g2skein.diagram import Component, Expression, SkeinDiagram, crossing_code
 from g2skein.laurent import LaurentPoly
 from g2skein.resolver import _next_crossing, resolve_crossing
-from g2skein.sorter import sort_step
+from g2skein.sorter import next_decision
 
 
 def resolve_all(e: Expression, order: Sequence[int] | None = None) -> Expression:
@@ -36,8 +37,62 @@ def resolve_all(e: Expression, order: Sequence[int] | None = None) -> Expression
     return out
 
 
+def slide(t: Term, a: int, c: int) -> Term:
+    """What ``sorter.induce_crossings`` must return: the behind pass at
+    height a and the front pass at c trade heights, and branches of new
+    crossings (placeholder height 0) are inserted entry by entry.
+
+    Passes next to each other along one component (the last and the
+    first entry count as neighbours) get one twist crossing 1, around
+    both passes, and the coefficient -t^(-3 eps), eps = +1 when the
+    first of the two runs right to left.  Otherwise each pass is
+    flanked by branches of crossings 1 and 2 (2 first when it runs right
+    to left), over branches around the front pass, with signs eps and
+    -eps, eps = +1 when both passes run the same way.
+    """
+    rows = [list(zip(comp.codes, comp.heights)) for comp in t.diagram.components]
+    spot = {h: (li, j) for li, row in enumerate(rows) for j, (_k, h) in enumerate(row)}
+    (la, ja), (lc, jc) = spot[a], spot[c]
+    ka, kc = rows[la][ja][0], rows[lc][jc][0]
+    rows[la][ja], rows[lc][jc] = (ka, c), (kc, a)
+    m = len(rows[la])
+    if la == lc and (jc - ja) % m in (1, m - 1):
+        row = rows[la]
+        if {ja, jc} == {0, m - 1} and m > 2:  # straddles the seam: start one entry earlier
+            row.insert(0, row.pop())
+            ja, jc = (ja + 1) % m, (jc + 1) % m
+        first = min(ja, jc)
+        eps = 1 if row[first][0] & 1 else -1
+        row.insert(first + 2, (crossing_code(1, first != jc), 0))
+        row.insert(first, (crossing_code(1, first == jc), 0))
+        return Term(t.coeff * LaurentPoly.monomial(-3 * eps, -1), from_rows(rows, {1: eps}))
+    eps = 1 if ka & 1 == kc & 1 else -1
+    for li, j, k, over in sorted([(la, ja, ka, False), (lc, jc, kc, True)], reverse=True):
+        before, after = (2, 1) if k & 1 else (1, 2)
+        rows[li][j : j + 1] = [(crossing_code(before, over), 0), rows[li][j], (crossing_code(after, over), 0)]
+    return Term(t.coeff, from_rows(rows, {1: eps, 2: -eps}))
+
+
+def from_rows(rows, signs) -> SkeinDiagram:
+    return SkeinDiagram.make(
+        [Component(tuple(k for k, _ in row), tuple(h for _, h in row)) for row in rows], signs
+    )
+
+
+def sort_children(t: Term) -> Optional[list[Term]]:
+    """The children of one sort step: the slide, then ``resolve_crossing``
+    on each induced crossing in ascending id order; None when sorted."""
+    decision = next_decision(t.diagram)
+    if decision is None:
+        return None
+    pending = [slide(t, decision[1].under_height, decision[1].over_height)]
+    for cid in pending[0].diagram.crossing_ids():
+        pending = [child for term in pending for child in resolve_crossing(term, cid)]
+    return pending
+
+
 def sort_expression(e: Expression) -> Expression:
-    """Run sort_step to a fixed point over the whole expression.
+    """Run the naive sort step to a fixed point over the whole expression.
 
     Between rounds, terms whose diagrams are exactly equal (same
     arrays, heights and crossing ids) merge by adding coefficients.
@@ -47,7 +102,7 @@ def sort_expression(e: Expression) -> Expression:
     while current:
         frontier: dict[SkeinDiagram, LaurentPoly] = {}
         for term in current:
-            children = sort_step(term)
+            children = sort_children(term)
             if children is None:
                 done.append(term)
                 continue

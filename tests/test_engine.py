@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import g2skein
-from g2skein import Term, parse_diagram, serialize_diagram
-from g2skein.diagram import SkeinDiagram, relabel_heights, rotate_component
+from g2skein import Term, cli, parse_diagram, serialize_diagram
+from g2skein.diagram import SkeinDiagram, relabel_heights, reverse_component, rotate_component
 from g2skein.classifier import evaluate
 from g2skein.engine import dedup, run_pipeline, split_stage
 from g2skein.errors import SkeinValidationError, StepLimitExceeded
@@ -20,7 +20,7 @@ from g2skein.oracle import random_diagram, random_diagram_with_crossings
 
 from conftest import TWO_CROSSING_DOC, UNKNOT_DOC, doc_text
 from test_diagram import SPLIT_REGIONS_DOC
-from naive import naive_value, sort_expression
+from naive import naive_value, resolve_all, sort_expression
 
 
 def one_term(d, coeff=None):
@@ -284,6 +284,43 @@ def test_cli_resolve_text(tmp_path):
     r = run_cli("resolve", str(f))
     assert r.returncode == 0
     assert r.stdout.strip() == "(1 + -1*t^4)*x*z^2 + (-1*t^-4)*x + (-1*t^6)*y*z"
+
+
+def re_encodings(d):
+    """Every component rotation, the components in reverse order, heights
+    doubled plus 3, and, for a crossing-free input, each component
+    traversed backwards."""
+    comps = list(d.components)
+    for li, c in enumerate(comps):
+        for k in range(1, len(c)):
+            yield SkeinDiagram.make(comps[:li] + [rotate_component(c, k)] + comps[li + 1 :], d.signs())
+        if not d.sign_pairs:
+            yield SkeinDiagram.make(comps[:li] + [reverse_component(c)] + comps[li + 1 :])
+    yield SkeinDiagram.make(comps[::-1], d.signs())
+    yield relabel_heights(d, {h: 2 * h + 3 for c in comps for h in c.heights if h})
+
+
+def test_resolve_text_does_not_depend_on_the_encoding(tmp_path, capsys):
+    """The ``g2skein resolve`` text is byte-identical under re-encoding,
+    wherever the walk's work lands; on 6-crossing diagrams and, for
+    reversal, their crossing-free smoothings with the most strand passes."""
+    path = tmp_path / "d.json"
+
+    def resolve_text(d):
+        path.write_text(serialize_diagram(d))
+        assert cli.main(["resolve", str(path)]) == 0
+        return capsys.readouterr().out
+
+    checked = 0
+    for seed in (0, 1, 8):
+        d = random_diagram_with_crossings(seed, 6, 6)
+        smoothed = sorted(resolve_all([Term(LaurentPoly.one(), d)]), key=lambda t: -t.diagram.strand_pass_count())
+        for base in [d] + [t.diagram for t in smoothed[:2]]:
+            text = resolve_text(base)
+            for variant in re_encodings(base):
+                assert resolve_text(variant) == text, serialize_diagram(variant)
+                checked += 1
+    assert checked > 100
 
 
 def test_cli_resolve_json(tmp_path):

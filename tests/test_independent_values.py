@@ -9,7 +9,11 @@ and does its own arithmetic on plain ints:
   150 generated diagrams and on the 8- and 10-crossing diagrams of the
   acceptance check A8 and the benchmark's ``crossings-10`` workload;
 * the Temperley-Lieb state sum (Kauffman 1987) on closures of random
-  3- and 4-strand braids.
+  3- and 4-strand braids;
+* the annular state sum at generic t (``annular``, kept under ``tests/``)
+  on braids closed around strand 1, as drawn and mirrored; the mirror
+  images have n^2 height inversions, so this is the check with an
+  independently computed value that drives the sorter.
 """
 
 import json
@@ -27,6 +31,7 @@ import conftest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import oracles  # noqa: E402
+from annular import annular_bracket, annular_document, annular_failure  # noqa: E402
 
 FIXTURES = sorted(name for name in dir(conftest) if name.endswith("_DOC"))
 PAIRS = oracles.random_sl2_pairs(0, 2)
@@ -64,3 +69,39 @@ def test_state_sum_on_braid_closures():
         doc = oracles.braid_document(word, n)
         failure = oracles.bracket_failure(value_obj(doc), oracles.braid_bracket(word, n))
         assert failure is None, f"{n} strands, word {word}: {failure}"
+
+
+def annular_words():
+    """20 random words on 2 and 3 threads, then two on 4."""
+    rng = random.Random(13)
+    for k in range(20):
+        n = 2 + k % 2
+        yield n, [(rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))]
+    yield 4, [(2, 1), (1, -1), (3, 1), (2, 1), (1, 1)]
+    yield 4, [(1, -1), (3, -1), (2, 1), (3, -1)]
+
+
+def inverted(value: dict) -> dict:
+    """A state sum under t -> 1/t."""
+    return {power: {-e: c for e, c in coeff.items()} for power, coeff in value.items()}
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_annular_state_sum_on_closures_around_strand_1(mirror):
+    for n, word in annular_words():
+        doc, expected = annular_document(word, n), annular_bracket(word, n)
+        if mirror:
+            doc, expected = oracles.mirror_document(doc), inverted(expected)
+        failure = annular_failure(value_obj(doc), expected)
+        assert failure is None, f"{n} threads, word {word}, mirror {mirror}: {failure}"
+
+
+def test_annular_check_rejects_a_perturbed_value():
+    word = [(1, 1), (1, 1), (1, 1)]
+    value, expected = value_obj(annular_document(word, 2)), annular_bracket(word, 2)
+    assert annular_failure(value, expected) is None
+    bumped = {power: dict(coeff) for power, coeff in expected.items()}
+    bumped[0][3] += 1
+    assert annular_failure(value, bumped) is not None
+    assert annular_failure(value, inverted(expected)) is not None
+    assert annular_failure(value, {power + 1: coeff for power, coeff in expected.items()}) is not None

@@ -9,24 +9,27 @@ import json
 
 import pytest
 
-from g2skein import Term, parse_diagram, serialize_diagram
+from collections import Counter
+
+from g2skein import Term, parse_diagram, serialize_diagram, sorter
+from g2skein.diagram import dedup_key
 from g2skein.engine import run_pipeline
 from g2skein.errors import StepLimitExceeded
 from g2skein.laurent import LaurentPoly
-from g2skein.oracle import random_diagram
+from g2skein.oracle import random_diagram, random_diagram_with_crossings
 from g2skein.sorter import (
     StrandPartition,
     induce_crossings,
     induction_decision,
     inversion_count,
     is_fully_sorted,
-    is_sorted,
     next_decision,
     partition,
     sort_step,
 )
 
 from conftest import TWO_CROSSING_DOC, Y_NEG_DOC
+import naive
 from naive import resolve_all, sort_expression
 
 
@@ -58,9 +61,10 @@ def test_partition_pools_across_components():
 
 def test_is_sorted_needs_all_front_below_all_behind():
     sorted_d = parse({"components": [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}], "U": {}})
-    assert is_sorted(sorted_d, 1) and is_fully_sorted(sorted_d)
+    assert induction_decision(partition(sorted_d, 1)) is None and is_fully_sorted(sorted_d)
     inverted = parse({"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}})
-    assert not is_sorted(inverted, 1)
+    assert induction_decision(partition(inverted, 1)) is not None
+    assert not is_fully_sorted(inverted)
     assert inversion_count(inverted) == 1
     empty = parse({"components": [{"E": [], "I": [], "Q": []}], "U": {}})
     assert is_fully_sorted(empty)
@@ -157,3 +161,33 @@ def test_sort_step_preserves_value():
         if checked >= 8:
             break
     assert checked >= 8
+
+
+def test_sort_step_matches_naive_composition(monkeypatch):
+    """On every sort expansion the walk makes, the one-pass slide gives
+    the children of the naive slide followed by ``resolve_crossing`` on
+    each induced crossing, as multisets of (canonical key, coefficient),
+    and ``induce_crossings`` the naive slide's staged term exactly."""
+    parents = []
+    real = sorter.sort_step
+
+    def spy(t, decision=None):
+        parents.append(t)
+        return real(t, decision)
+
+    monkeypatch.setattr(sorter, "sort_step", spy)
+    for d in [random_diagram(s, 2, 3) for s in range(40)] + [random_diagram_with_crossings(11, 10, 10)]:
+        run_pipeline(d)
+    assert len(parents) > 2508
+
+    def multiset(children):
+        return Counter((dedup_key(ch.diagram), ch.coeff) for ch in children)
+
+    twists = 0
+    for t in parents:
+        _, choice = next_decision(t.diagram)
+        staged = induce_crossings(t, choice.under_height, choice.over_height)
+        assert staged == naive.slide(t, choice.under_height, choice.over_height)
+        twists += len(staged.diagram.sign_pairs) == 1
+        assert multiset(real(t)) == multiset(naive.sort_children(t))
+    assert 0 < twists < len(parents)
