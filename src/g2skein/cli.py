@@ -89,8 +89,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    d = oracle.random_diagram_with_crossings(args.seed, args.crossings, args.crossings)
+    try:
+        d = oracle.random_diagram_with_crossings(args.seed, args.crossings, args.crossings)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     stats: dict = {}
     started = time.perf_counter()
     poly = engine.run_pipeline(d, stats=stats)
@@ -134,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("bench", help="time the pipeline on one random diagram")
-    p.add_argument("--crossings", type=int, default=6)
+    p.add_argument("--crossings", type=_count, default=6)
     p.add_argument("--seed", type=int, default=1234)
     p.set_defaults(func=_cmd_bench)
 

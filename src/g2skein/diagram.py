@@ -119,9 +119,6 @@ class Component:
     def __add__(self, other: "Component") -> "Component":
         return Component(self.codes + other.codes, self.heights + other.heights)
 
-    def strand_pass_count(self) -> int:
-        return sum(1 for k in self.codes if k >= 0)
-
 
 @dataclass(frozen=True)
 class SkeinDiagram:
@@ -134,8 +131,8 @@ class SkeinDiagram:
     components: tuple[Component, ...]
     sign_pairs: tuple[tuple[int, int], ...]
     # per-object scratch cache for derived data (canonical key, height
-    # ranks, pooled heights); excluded from equality and hashing,
-    # mutated in place
+    # ranks, sort state); excluded from equality and hashing, mutated in
+    # place
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
@@ -151,9 +148,6 @@ class SkeinDiagram:
 
     def crossing_ids(self) -> list[int]:
         return [cid for cid, _ in self.sign_pairs]
-
-    def strand_pass_count(self) -> int:
-        return sum(c.strand_pass_count() for c in self.components)
 
 
 @dataclass(frozen=True)

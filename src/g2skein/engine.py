@@ -123,17 +123,11 @@ def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
 def sort_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
     """Sort rule: one slide of a crossing-free term and its trace record,
     or None when the term is sorted."""
-    decision = sorter.next_decision(t.diagram)
-    if decision is None:
+    slide = sorter.sort_state(t.diagram)[2]
+    if slide is None:
         return None
-    strand, choice = decision
-    record = {
-        "stage": "sort",
-        "strand": strand,
-        "under": choice.under_height,
-        "over": choice.over_height,
-    }
-    return sorter.sort_step(t, decision=decision), record
+    record = {"stage": "sort", "strand": slide[0], "under": slide[1], "over": slide[2]}
+    return sorter.sort_step(t), record
 
 
 def _basis_value(
@@ -183,7 +177,7 @@ def _basis_value(
             if d.sign_pairs:
                 children, record = resolve_stage(t, order)
                 crossings += 1
-            elif sorter.is_fully_sorted(d):  # a sorted root
+            elif not sorter.sort_state(d)[1]:  # a sorted root
                 memo[key] = classifier.evaluate([t])
                 del reprs[key]
                 stack.pop()
@@ -204,7 +198,7 @@ def _basis_value(
             leaves, inner = [], []
             for ch in children:
                 cd = ch.diagram
-                (inner if cd.sign_pairs or not sorter.is_fully_sorted(cd) else leaves).append(ch)
+                (inner if cd.sign_pairs or sorter.sort_state(cd)[1] else leaves).append(ch)
             n_leaves += len(leaves)
             if product:
                 # the leaf layers as one term: its value is their product (1 if none)

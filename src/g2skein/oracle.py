@@ -261,14 +261,13 @@ def random_diagram(
 def random_diagram_with_crossings(
     seed: int, low: int, high: int, max_components: int = 2
 ) -> SkeinDiagram:
-    """Search sub-seeds for a diagram whose crossing count lands in range."""
+    """Search sub-seeds for a diagram whose crossing count lands in range;
+    ValueError when none of them does."""
     for k in range(5000):
         d = random_diagram(seed * 10007 + k, max_components, high)
         if low <= len(d.sign_pairs) <= high:
             return d
-    raise RuntimeError(
-        f"no diagram with {low}..{high} crossings found for seed {seed}"
-    )
+    raise ValueError(f"no diagram with {low}..{high} crossings found for seed {seed}")
 
 
 # ---------------------------------------------------------------------------

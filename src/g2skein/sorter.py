@@ -1,7 +1,10 @@
 """Strand sorting: drive every term into the basis-readable form.
 
 A crossing-free term is "sorted" on a strand when every front pass
-sits below every behind pass there.  Sorting repeatedly picks the
+sits below every behind pass there.  One scan of a diagram,
+``sort_state``, cached on it, gives its strand passes, its inversions
+and the slide to make next; the walk's leaf test, the sort rule and the
+progress monitor all read that one state.  Sorting repeatedly picks the
 lowest offending (front, behind) height pair, slides the two passes
 past each other (swapping their heights), and pays for the slide by
 inserting the self-crossings the move creates, which are resolved on
@@ -22,98 +25,47 @@ it, and ``k & 1`` is set when the pass runs right to left.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import resolver
 from .diagram import Component, SkeinDiagram, Term, crossing_code, height_ranks, rotate_component
 from .errors import InternalInvariantError
 from .laurent import LaurentPoly
 
-__all__ = [
-    "StrandPartition",
-    "SwapChoice",
-    "partition",
-    "is_fully_sorted",
-    "inversion_count",
-    "induction_decision",
-    "next_decision",
-    "induce_crossings",
-    "sort_step",
-]
+__all__ = ["sort_state", "induce_crossings", "sort_step"]
 
 
-class StrandPartition(NamedTuple):
-    """Heights of front passes (over) and behind passes (under), ascending."""
+def sort_state(d: SkeinDiagram) -> tuple:
+    """``(strand passes, inversions, slide)`` of a diagram, cached on it.
 
-    over: tuple
-    under: tuple
-
-
-class SwapChoice(NamedTuple):
-    under_height: int
-    over_height: int
-
-
-def partition(d: SkeinDiagram, strand: int) -> StrandPartition:
-    """Pool pass heights for one strand across every component."""
-    cached = d._memo.get(strand)
-    if cached is not None:
-        return cached
+    Inversions are the (front, behind) height pairs in the wrong order,
+    both strands pooled across every component.  ``slide`` is ``(strand,
+    under height, over height)`` on the first unsorted strand: its first
+    front pass above the lowest behind pass, and the highest behind pass
+    under that one, which is always its neighbour in height on the strand.
+    It is None exactly when there are no inversions.
+    """
+    state = d._memo.get("sort")
+    if state is not None:
+        return state
     pools: tuple[list[int], ...] = ([], [], [], [])
     add = [pool.append for pool in pools]
     for c in d.components:
         for k, h in zip(c.codes, c.heights):
             if k >= 0:
                 add[k >> 1](h)
-    # both strands are pooled in one pass; the other is asked for next
-    for s in (1, 2):
-        over, under = pools[s - 1], pools[s + 1]
-        d._memo[s] = StrandPartition(tuple(sorted(over)), tuple(sorted(under)))
-    return d._memo[strand]
-
-
-def is_fully_sorted(d: SkeinDiagram) -> bool:
-    # a strand is sorted exactly when it has no inversion
-    return inversion_count(d) == 0
-
-
-def inversion_count(d: SkeinDiagram) -> int:
-    """Number of (front, behind) height pairs in the wrong order, both strands."""
-    cached = d._memo.get("inv")
-    if cached is not None:
-        return cached
-    total = 0
+    inversions = 0
+    slide = None
     for strand in (1, 2):
-        p = partition(d, strand)
-        for h in p.over:
-            total += bisect_left(p.under, h)
-    d._memo["inv"] = total
-    return total
-
-
-def induction_decision(p: StrandPartition) -> Optional[SwapChoice]:
-    """Pick the height pair to swap next, or None when already sorted.
-
-    The first front pass above the lowest behind pass is paired with the
-    highest behind pass underneath it.  The two passes are always
-    height-adjacent on the strand.
-    """
-    if not p.over or not p.under:
-        return None
-    k = bisect(p.over, p.under[0])
-    if k == len(p.over):
-        return None
-    c = p.over[k]
-    return SwapChoice(under_height=p.under[bisect(p.under, c) - 1], over_height=c)
-
-
-def next_decision(d: SkeinDiagram) -> Optional[tuple[int, SwapChoice]]:
-    """First strand still unsorted and the swap chosen for it, if any."""
-    for strand in (1, 2):
-        choice = induction_decision(partition(d, strand))
-        if choice is not None:
-            return strand, choice
-    return None
+        over, under = sorted(pools[strand - 1]), sorted(pools[strand + 1])
+        for h in over:
+            inversions += bisect_left(under, h)
+        if slide is None and under:
+            k = bisect(over, under[0])
+            if k < len(over):
+                slide = (strand, under[bisect(under, over[k]) - 1], over[k])
+    state = d._memo["sort"] = (sum(map(len, pools)), inversions, slide)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -186,29 +138,23 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
 # ---------------------------------------------------------------------------
 # the sorting loop
 
-def sort_step(
-    t: Term,
-    decision: Optional[tuple[int, SwapChoice]] = None,
-) -> Optional[list[Term]]:
+def sort_step(t: Term) -> Optional[list[Term]]:
     """One slide on the first unsorted strand; None when nothing to do.
 
     The induced crossings are smoothed in ascending id order.  A slide
     keeps the set of heights, so the children share the parent's height
     ranks (``diagram.height_ranks``).  Every child must come back with
     strictly fewer inversions (or strictly fewer strand passes) than the
-    parent, otherwise the progress monitor aborts.  A caller that already
-    ran ``next_decision`` can pass the result along.
+    parent, otherwise the progress monitor aborts.
     """
     d = t.diagram
     if d.sign_pairs:
         raise InternalInvariantError("sorting requires all crossings resolved")
-    if decision is None:
-        decision = next_decision(d)
-    if decision is None:
+    passes, inversions, slide = sort_state(d)
+    if slide is None:
         return None
-    _strand, choice = decision
 
-    staged = induce_crossings(t, choice.under_height, choice.over_height)
+    staged = induce_crossings(t, slide[1], slide[2])
     states = [(staged.diagram.components, staged.diagram.signs(), 0)]
     for cid in staged.diagram.crossing_ids():
         states = [
@@ -223,9 +169,7 @@ def sort_step(
     ]
 
     for child in children:
-        if not (
-            inversion_count(child.diagram) < inversion_count(d)
-            or child.diagram.strand_pass_count() < d.strand_pass_count()
-        ):
+        child_passes, child_inversions, _slide = sort_state(child.diagram)
+        if not (child_inversions < inversions or child_passes < passes):
             raise InternalInvariantError("sorting step made no progress")
     return children

@@ -1,9 +1,9 @@
 """The naive references the memoized walk is checked against.
 
 Every smoothing and every sort step, built on ``resolve_crossing`` and
-a slide written here entry by entry: no canonical key, no memo, no layer
-split, and none of ``sort_step``'s one-pass slide.  And an orbit key
-found by trying every re-encoding, for the canonical key.
+a slide and a sort state written here entry by entry: no canonical key,
+no memo, no layer split, and none of the sorter's own code.  And an
+orbit key found by trying every re-encoding, for the canonical key.
 """
 
 from itertools import permutations, product
@@ -14,7 +14,6 @@ from g2skein.classifier import evaluate
 from g2skein.diagram import Component, Expression, SkeinDiagram, crossing_code
 from g2skein.laurent import LaurentPoly
 from g2skein.resolver import _next_crossing, resolve_crossing
-from g2skein.sorter import next_decision
 
 
 def resolve_all(e: Expression, order: Sequence[int] | None = None) -> Expression:
@@ -79,13 +78,34 @@ def from_rows(rows, signs) -> SkeinDiagram:
     )
 
 
+def sort_state(d: SkeinDiagram) -> tuple:
+    """What ``sorter.sort_state`` must return: the number of strand
+    passes, the number of (front, behind) pairs on one strand with the
+    front pass higher, and the slide ``(strand, under, over)`` on the
+    first strand that has such a pair: the lowest front pass above the
+    lowest behind pass, and the highest behind pass below that front
+    pass; None when there is no such pair."""
+    passes = [(k >> 1, h) for c in d.components for k, h in zip(c.codes, c.heights) if k >= 0]
+    inversions = 0
+    chosen = None
+    for strand in (1, 2):
+        front = [h for side, h in passes if side == strand - 1]
+        behind = [h for side, h in passes if side == strand + 1]
+        pairs = [(b, f) for f in front for b in behind if b < f]
+        inversions += len(pairs)
+        if pairs and chosen is None:
+            over = min(f for f in front if f > min(behind))
+            chosen = (strand, max(b for b in behind if b < over), over)
+    return len(passes), inversions, chosen
+
+
 def sort_children(t: Term) -> Optional[list[Term]]:
     """The children of one sort step: the slide, then ``resolve_crossing``
     on each induced crossing in ascending id order; None when sorted."""
-    decision = next_decision(t.diagram)
-    if decision is None:
+    chosen = sort_state(t.diagram)[2]
+    if chosen is None:
         return None
-    pending = [slide(t, decision[1].under_height, decision[1].over_height)]
+    pending = [slide(t, chosen[1], chosen[2])]
     for cid in pending[0].diagram.crossing_ids():
         pending = [child for term in pending for child in resolve_crossing(term, cid)]
     return pending

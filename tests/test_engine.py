@@ -17,6 +17,7 @@ from g2skein.engine import dedup, run_pipeline, split_stage
 from g2skein.errors import SkeinValidationError, StepLimitExceeded
 from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram, random_diagram_with_crossings
+from g2skein.sorter import sort_state
 
 from conftest import TWO_CROSSING_DOC, UNKNOT_DOC, doc_text
 from test_diagram import SPLIT_REGIONS_DOC
@@ -314,7 +315,7 @@ def test_resolve_text_does_not_depend_on_the_encoding(tmp_path, capsys):
     checked = 0
     for seed in (0, 1, 8):
         d = random_diagram_with_crossings(seed, 6, 6)
-        smoothed = sorted(resolve_all([Term(LaurentPoly.one(), d)]), key=lambda t: -t.diagram.strand_pass_count())
+        smoothed = sorted(resolve_all([Term(LaurentPoly.one(), d)]), key=lambda t: -sort_state(t.diagram)[0])
         for base in [d] + [t.diagram for t in smoothed[:2]]:
             text = resolve_text(base)
             for variant in re_encodings(base):
@@ -372,3 +373,13 @@ def test_cli_bench_runs(tmp_path):
     assert "sort expansions" in r.stdout
     assert "layer splits" in r.stdout
     assert "leaves valued" in r.stdout
+
+
+def test_cli_bench_rejects_unusable_counts(tmp_path):
+    """A negative count is a usage error; a count the generator cannot
+    reach is reported as an error.  Both exit 1 without a traceback."""
+    for count, message in (("-1", "not a non-negative integer"), ("40", "error: no diagram with 40..40 crossings")):
+        r = run_cli("bench", "--crossings", count, cwd=str(tmp_path))
+        assert r.returncode == 1
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr

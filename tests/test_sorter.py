@@ -1,8 +1,10 @@
-"""Height sorting: partitions, swap decisions, induced crossings.
+"""Height sorting: the sort state, induced crossings, the progress monitor.
 
 The one substantive law here is that a sort step never changes the
 value a term contributes: the induced crossings resolve straight back
-into the rearranged curve with compensating coefficients.
+into the rearranged curve with compensating coefficients.  The sort
+state (strand passes, inversions, next slide) is checked on small cases
+here and against ``naive.sort_state`` on every slide of a walk.
 """
 
 import json
@@ -12,21 +14,12 @@ import pytest
 from collections import Counter
 
 from g2skein import Term, parse_diagram, serialize_diagram, sorter
-from g2skein.diagram import dedup_key
+from g2skein.diagram import Component, SkeinDiagram, dedup_key, pass_code
 from g2skein.engine import run_pipeline
-from g2skein.errors import StepLimitExceeded
+from g2skein.errors import InternalInvariantError, StepLimitExceeded
 from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram, random_diagram_with_crossings
-from g2skein.sorter import (
-    StrandPartition,
-    induce_crossings,
-    induction_decision,
-    inversion_count,
-    is_fully_sorted,
-    next_decision,
-    partition,
-    sort_step,
-)
+from g2skein.sorter import induce_crossings, sort_state, sort_step
 
 from conftest import TWO_CROSSING_DOC, Y_NEG_DOC
 import naive
@@ -41,13 +34,18 @@ def term(d):
     return Term(coeff=LaurentPoly.one(), diagram=d)
 
 
+def strand_passes(front, behind, strand=1):
+    """Bare strand passes at the given heights; only ``sort_state`` reads them."""
+    codes = [pass_code(f"O{strand}", 4)] * len(front) + [pass_code(f"U{strand}", 4)] * len(behind)
+    return Component(tuple(codes), tuple(front) + tuple(behind))
+
+
 def test_partition_pools_across_components():
     d = parse({"components": [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}], "U": {}})
-    assert partition(d, 1) == StrandPartition(over=(1,), under=(2,))
-    assert partition(d, 2) == StrandPartition(over=(), under=())
+    assert sort_state(d) == (2, 0, None)
 
     d2 = parse({"components": [{"E": ["O1", "U1", "O1", "U1"], "I": [1, 2, 3, 4], "Q": [3, 4, 3, 4]}], "U": {}})
-    assert partition(d2, 1) == StrandPartition(over=(1, 3), under=(2, 4))
+    assert sort_state(d2) == (4, 1, (1, 2, 3))
 
     d3 = parse({
         "components": [
@@ -56,31 +54,34 @@ def test_partition_pools_across_components():
         ],
         "U": {},
     })
-    assert partition(d3, 1) == StrandPartition(over=(1, 3), under=(2, 4))
+    assert sort_state(d3) == (4, 1, (1, 2, 3))
 
 
 def test_is_sorted_needs_all_front_below_all_behind():
     sorted_d = parse({"components": [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}], "U": {}})
-    assert induction_decision(partition(sorted_d, 1)) is None and is_fully_sorted(sorted_d)
+    assert sort_state(sorted_d) == (2, 0, None)
     inverted = parse({"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}})
-    assert induction_decision(partition(inverted, 1)) is not None
-    assert not is_fully_sorted(inverted)
-    assert inversion_count(inverted) == 1
+    assert sort_state(inverted) == (2, 1, (1, 1, 2))
     empty = parse({"components": [{"E": [], "I": [], "Q": []}], "U": {}})
-    assert is_fully_sorted(empty)
+    assert sort_state(empty) == (0, 0, None)
 
 
-def test_induction_decision_examples():
-    assert induction_decision(StrandPartition(over=(1, 4), under=(2, 3))) == (3, 4)
-    assert induction_decision(StrandPartition(over=(1, 3), under=(2, 4))) == (2, 3)
-    assert induction_decision(StrandPartition(over=(1, 2), under=(3, 4))) is None
-    assert induction_decision(StrandPartition(over=(), under=(1,))) is None
+def test_sort_state_slide_examples():
+    def state(*comps):
+        return sort_state(SkeinDiagram.make(comps))
+
+    assert state(strand_passes((1, 4), (2, 3))) == (4, 2, (1, 3, 4))
+    assert state(strand_passes((1, 3), (2, 4))) == (4, 1, (1, 2, 3))
+    assert state(strand_passes((1, 2), (3, 4))) == (4, 0, None)
+    assert state(strand_passes((), (1,))) == (1, 0, None)
+    # strand 1 is sorted, so the slide is on strand 2; strand 1 goes first
+    assert state(strand_passes((1,), (5,)), strand_passes((4,), (2, 3), 2)) == (5, 2, (2, 3, 4))
+    assert state(strand_passes((6,), (5,)), strand_passes((4,), (3,), 2)) == (4, 2, (1, 5, 6))
 
 
 def test_single_twist_insertion():
     d = parse({"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}})
-    _, choice = next_decision(d)
-    assert (choice.under_height, choice.over_height) == (1, 2)
+    assert sort_state(d)[2] == (1, 1, 2)
     t2 = induce_crossings(term(d), 1, 2)
     obj = json.loads(serialize_diagram(t2.diagram))
     assert obj["components"][0]["E"] == ["X+1", "O1", "U1", "X-1"]
@@ -98,8 +99,7 @@ def test_crossing_pair_insertion_across_components():
         ],
         "U": {},
     })
-    strand, choice = next_decision(d)
-    assert strand == 1 and (choice.under_height, choice.over_height) == (2, 3)
+    assert sort_state(d)[2] == (1, 2, 3)
     t2 = induce_crossings(term(d), 2, 3)
     obj = json.loads(serialize_diagram(t2.diagram))
     # two fresh crossings with opposite signs, no coefficient paid
@@ -117,11 +117,20 @@ def test_sort_step_returns_none_once_sorted(y_neg):
     assert sort_step(term(d)) is None
 
 
+def test_progress_monitor_fires(monkeypatch):
+    """A slide whose children keep the parent's passes and inversions is
+    refused: here the induced crossings are left out altogether."""
+    d = parse({"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}})
+    monkeypatch.setattr(sorter, "induce_crossings", lambda t, a, c: t)
+    with pytest.raises(InternalInvariantError, match="made no progress"):
+        sort_step(term(d))
+
+
 def test_sort_expression_structure():
     d = parse({"components": [{"E": ["O1", "U1", "O1", "U1"], "I": [1, 2, 3, 4], "Q": [3, 4, 3, 4]}], "U": {}})
     out = sort_expression([term(d)])
     assert len(out) == 2
-    assert all(is_fully_sorted(t.diagram) for t in out)
+    assert all(sort_state(t.diagram)[1] == 0 for t in out)
     coeffs = sorted(t.coeff.text() for t in out)
     assert coeffs == ["-1*t^-2", "-1*t^-4"]
 
@@ -146,7 +155,7 @@ def test_sort_step_preserves_value():
     for seed in range(30):
         d = random_diagram(seed, max_components=2, max_self_crossings=2)
         for t in resolve_all([term(d)]):
-            if is_fully_sorted(t.diagram):
+            if sort_state(t.diagram)[1] == 0:
                 continue
             children = sort_step(t)
             assert children
@@ -164,16 +173,18 @@ def test_sort_step_preserves_value():
 
 
 def test_sort_step_matches_naive_composition(monkeypatch):
-    """On every sort expansion the walk makes, the one-pass slide gives
-    the children of the naive slide followed by ``resolve_crossing`` on
-    each induced crossing, as multisets of (canonical key, coefficient),
-    and ``induce_crossings`` the naive slide's staged term exactly."""
+    """On every sort expansion the walk makes, the sort state of the
+    parent and of each child equals the naive one, the one-pass slide
+    gives the children of the naive slide followed by
+    ``resolve_crossing`` on each induced crossing, as multisets of
+    (canonical key, coefficient), and ``induce_crossings`` the naive
+    slide's staged term exactly."""
     parents = []
     real = sorter.sort_step
 
-    def spy(t, decision=None):
+    def spy(t):
         parents.append(t)
-        return real(t, decision)
+        return real(t)
 
     monkeypatch.setattr(sorter, "sort_step", spy)
     for d in [random_diagram(s, 2, 3) for s in range(40)] + [random_diagram_with_crossings(11, 10, 10)]:
@@ -185,9 +196,14 @@ def test_sort_step_matches_naive_composition(monkeypatch):
 
     twists = 0
     for t in parents:
-        _, choice = next_decision(t.diagram)
-        staged = induce_crossings(t, choice.under_height, choice.over_height)
-        assert staged == naive.slide(t, choice.under_height, choice.over_height)
+        state = sort_state(t.diagram)
+        assert state == naive.sort_state(t.diagram)
+        _strand, under, over = state[2]
+        staged = induce_crossings(t, under, over)
+        assert staged == naive.slide(t, under, over)
         twists += len(staged.diagram.sign_pairs) == 1
-        assert multiset(real(t)) == multiset(naive.sort_children(t))
+        children = real(t)
+        for child in children:
+            assert sort_state(child.diagram) == naive.sort_state(child.diagram)
+        assert multiset(children) == multiset(naive.sort_children(t))
     assert 0 < twists < len(parents)
