@@ -18,20 +18,18 @@ the output would not be a value of the curve.
 
 from __future__ import annotations
 
-from .diagram import Component, Expression, Term
+from .diagram import Component, Expression
 from .errors import InternalInvariantError
 from .laurent import BasisMonomial, LaurentPoly, SkeinPolynomial
 
-__all__ = [
-    "DELTA",
-    "winding",
-    "classify_component",
-    "term_to_monomial",
-    "evaluate",
-]
+__all__ = ["DELTA", "winding", "evaluate"]
 
 # the trivial loop's value; locked by the twist identity
 DELTA = LaurentPoly(((-2, -1), (2, -1)))
+
+# the basis loop of each nontrivial winding, as an index into the powers
+# of (x, y, z); winding (0, 0) is a trivial loop and folds into DELTA
+_BASIS_LOOP = {(1, 0): 0, (-1, 0): 0, (1, 1): 1, (-1, -1): 1, (0, 1): 2, (0, -1): 2}
 
 
 def winding(c: Component) -> tuple[int, int]:
@@ -45,41 +43,25 @@ def winding(c: Component) -> tuple[int, int]:
     return w[0], w[1]
 
 
-def classify_component(c: Component) -> str:
-    w1, w2 = winding(c)
-    if (w1, w2) == (0, 0):
-        return "unknot"
-    if w2 == 0 and w1 in (1, -1):
-        return "x"
-    if w1 == 0 and w2 in (1, -1):
-        return "z"
-    if (w1, w2) in ((1, 1), (-1, -1)):
-        return "y"
-    raise InternalInvariantError(
-        f"non-classifiable sorted curve with winding ({w1}, {w2})"
-    )
-
-
-def term_to_monomial(t: Term) -> tuple[BasisMonomial, LaurentPoly]:
-    """Classify every component of a sorted term; each trivial loop is
-    folded into the coefficient as a factor ``DELTA``."""
-    if t.diagram.sign_pairs:
-        raise InternalInvariantError("classification before full resolution")
-    counts = {"x": 0, "y": 0, "z": 0, "unknot": 0}
-    for c in t.diagram.components:
-        counts[classify_component(c)] += 1
-    coeff = t.coeff
-    for _ in range(counts["unknot"]):
-        coeff = coeff * DELTA
-    return BasisMonomial(x=counts["x"], y=counts["y"], z=counts["z"]), coeff
-
-
 def evaluate(e: Expression) -> SkeinPolynomial:
-    """Sum an expression of sorted terms into a polynomial."""
+    """Sum an expression of sorted terms into a polynomial: each component
+    is a basis loop, or a trivial loop folded into the coefficient as a
+    factor ``DELTA``."""
     sums: dict = {}
     for t in e:
-        mono, coeff = term_to_monomial(t)
-        acc = sums.setdefault(mono, {})
+        if t.diagram.sign_pairs:
+            raise InternalInvariantError("classification before full resolution")
+        powers = [0, 0, 0]
+        coeff = t.coeff
+        for c in t.diagram.components:
+            w = winding(c)
+            if w == (0, 0):
+                coeff = coeff * DELTA
+            elif w in _BASIS_LOOP:
+                powers[_BASIS_LOOP[w]] += 1
+            else:
+                raise InternalInvariantError(f"non-classifiable sorted curve with winding {w}")
+        acc = sums.setdefault(BasisMonomial(*powers), {})
         for exp, c in coeff.terms:
             acc[exp] = acc.get(exp, 0) + c
     return SkeinPolynomial.collect(sums)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 unparseable or invalid input or a usage error,
 2 internal invariant violation (including fuzz counterexamples), 3
-sorting step limit exceeded.
+expansion budget (``--max-steps``) exceeded.
 """
 
 from __future__ import annotations
@@ -39,23 +39,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_order(text: Optional[str]) -> Optional[list[int]]:
-    if not text:
-        return None
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise SkeinFormatError(f"bad --order value {text!r}") from None
-
-
 def _cmd_resolve(args: argparse.Namespace) -> int:
     d = parse_diagram(_read(args.file))
-    poly = engine.run_pipeline(
-        d,
-        order=_parse_order(args.order),
-        max_steps=args.max_steps,
-        trace_path=args.trace,
-    )
+    poly = engine.run_pipeline(d, max_steps=args.max_steps, trace_path=args.trace)
     if args.output == "json":
         print(json.dumps(poly.to_json_obj()))
     else:
@@ -130,8 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="run the full pipeline on a diagram file")
     p.add_argument("file")
-    p.add_argument("--order", help="comma-separated crossing ids")
-    p.add_argument("--max-steps", type=int, default=None, help="cap on sort expansions per run")
+    p.add_argument("--max-steps", type=int, default=None, help="cap on expansions per run, all rules together")
     p.add_argument("--trace", help="write a line-delimited step trace to this file")
     p.add_argument("--output", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_resolve)

@@ -60,6 +60,7 @@ __all__ = [
     "rotate_component",
     "reverse_component",
     "relabel_heights",
+    "renumber_crossings",
     "height_ranks",
     "dedup_key",
 ]
@@ -100,24 +101,13 @@ def pass_token(k: int) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class Component:
-    """One closed component: parallel tuples of pass codes and heights.
-
-    A slice is the section of the traversal it selects, and ``+`` joins
-    sections, so each array operator of crossing resolution is one
-    expression (see ``resolver``).
-    """
+    """One closed component: parallel tuples of pass codes and heights."""
 
     codes: tuple[int, ...]
     heights: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __getitem__(self, section: slice) -> "Component":
-        return Component(self.codes[section], self.heights[section])
-
-    def __add__(self, other: "Component") -> "Component":
-        return Component(self.codes + other.codes, self.heights + other.heights)
 
 
 @dataclass(frozen=True)
@@ -314,7 +304,7 @@ def rotate_component(c: Component, offset: int) -> Component:
     if not c.codes:
         return c
     k = offset % len(c)
-    return c[k:] + c[:k]
+    return Component(c.codes[k:] + c.codes[:k], c.heights[k:] + c.heights[:k])
 
 
 def reverse_component(c: Component) -> Component:
@@ -338,6 +328,20 @@ def relabel_heights(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram
         for c in d.components
     ]
     return SkeinDiagram.make(comps, d.signs())
+
+
+def renumber_crossings(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram:
+    """Give crossing ``cid`` the id ``mapping[cid]``; the curves and the
+    signs stay.  The walk smooths the lowest id first, so this is how an
+    order of resolution is chosen."""
+    imgs = [mapping.get(cid, 0) for cid in d.crossing_ids()]
+    if len(set(imgs)) != len(imgs) or min(imgs, default=1) < 1:
+        raise SkeinValidationError(["renumbering does not map the crossings one-to-one to positive ids"])
+    comps = [
+        Component(tuple([k if k >= 0 else -2 * mapping[-k >> 1] - (k & 1) for k in c.codes]), c.heights)
+        for c in d.components
+    ]
+    return SkeinDiagram.make(comps, {mapping[cid]: sign for cid, sign in d.sign_pairs})
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ classifier call and never keys them, since classifying costs less than
 keying.  Every other node is valued once per run: the memo is keyed by
 ``dedup_key`` and lives for one ``run_pipeline`` call, so diamonds in
 the rewriting graph and repeated smoothings cost a lookup.  The walk is
-also the only place that writes trace records, spends the sort budget
-and counts work.
+also the only place that writes trace records, spends the expansion
+budget and counts work.
 
 Why the layer rule is sound.  The genus-2 handlebody is P x I, with P
 the disk minus the two base strands and I the height axis of the
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import classifier, resolver, sorter
 from .diagram import Expression, SkeinDiagram, Term, dedup_key, validate
@@ -70,19 +70,19 @@ def dedup(e: Expression) -> Expression:
     return [t for _k, t in sorted(buckets.items()) if t.coeff]
 
 
-def resolve_stage(t: Term, order: Optional[Sequence[int]]) -> tuple[list[Term], dict]:
-    """Crossing rule: the two smoothings of the crossing ``order`` picks
-    (the lowest id when ``order`` names none left), with its trace record."""
-    signs = t.diagram.signs()
-    cid = resolver._next_crossing(signs, order)
+def resolve_stage(t: Term) -> tuple[list[Term], dict]:
+    """Crossing rule: the two smoothings of the lowest crossing id, with
+    its trace record.  To expand the crossings in another order,
+    renumber them (``diagram.renumber_crossings``)."""
+    cid, sign = t.diagram.sign_pairs[0]
     (l1, j1), (l2, j2) = resolver.locate_crossing(t.diagram, cid)
     record = {
         "stage": "resolve",
         "crossing": cid,
         "case": "split" if l1 == l2 else "merge",
         "positions": [[l1, j1], [l2, j2]],
-        "shift_first": signs[cid],
-        "shift_second": -signs[cid],
+        "shift_first": sign,
+        "shift_second": -sign,
     }
     return list(resolver.resolve_crossing(t, cid)), record
 
@@ -132,7 +132,6 @@ def sort_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
 
 def _basis_value(
     d0: SkeinDiagram,
-    order: Optional[Sequence[int]] = None,
     max_steps: Optional[int] = None,
     emit: Optional[Callable[[dict], None]] = None,
     stats: Optional[dict] = None,
@@ -150,7 +149,8 @@ def _basis_value(
     (crossings, then strand passes, then inversions, then components)
     strictly decreases along every edge, so the walk is finite and the
     memo acyclic.  A node's diagram and edges are dropped as soon as it
-    is valued.  ``max_steps`` caps the sort expansions of the run.
+    is valued.  ``max_steps`` caps the expansions of the run, of all
+    three rules together.
     ``memo`` maps keys to values already known; it is empty unless the
     caller passes one.  ``stats`` gets ``nodes`` (keyed nodes and the
     root), ``leaves`` (sorted children) and the expansions per rule.
@@ -175,7 +175,7 @@ def _basis_value(
             t = Term(one, d)
             product = False
             if d.sign_pairs:
-                children, record = resolve_stage(t, order)
+                children, record = resolve_stage(t)
                 crossings += 1
             elif not sorter.sort_state(d)[1]:  # a sorted root
                 memo[key] = classifier.evaluate([t])
@@ -191,9 +191,9 @@ def _basis_value(
                     splits += 1
                 else:
                     sorts += 1
-                    if max_steps is not None and sorts > max_steps:
-                        raise StepLimitExceeded(f"sorting exceeded {max_steps} steps")
                     children, record = sort_stage(t)
+            if max_steps is not None and crossings + sorts + splits > max_steps:
+                raise StepLimitExceeded(f"the walk needs more than {max_steps} expansions")
             # sorted children are leaves, valued here without a key
             leaves, inner = [], []
             for ch in children:
@@ -249,15 +249,14 @@ def _basis_value(
 def run_pipeline(
     d: SkeinDiagram,
     *,
-    order: Optional[Sequence[int]] = None,
     max_steps: Optional[int] = None,
     trace_path: Optional[str] = None,
     stats: Optional[dict] = None,
 ) -> SkeinPolynomial:
     """Resolve a validated diagram all the way to a basis polynomial.
 
-    ``order`` lists crossing ids to expand first, ``max_steps`` caps the
-    sort expansions of the run (None: no cap), ``trace_path`` receives
+    ``max_steps`` caps the expansions of the run, crossing, sort and
+    layer split alike (None: no cap), ``trace_path`` receives
     one JSON record per expansion, and ``stats`` is filled with the
     walk's counters and the run's seconds.
     """
@@ -271,7 +270,7 @@ def run_pipeline(
     try:
         if emit:
             emit({"stage": "start", "crossings": len(d.sign_pairs)})
-        poly = _basis_value(d, order, max_steps, emit, stats)
+        poly = _basis_value(d, max_steps, emit, stats)
         if stats is not None:
             stats["seconds"] = time.perf_counter() - started
         if emit:

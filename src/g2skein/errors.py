@@ -32,4 +32,4 @@ class InternalInvariantError(SkeinError):
 
 
 class StepLimitExceeded(SkeinError):
-    """Strand sorting ran past its step budget without finishing."""
+    """The walk needed more expansions than its budget (``max_steps``) allows."""

@@ -41,10 +41,6 @@ class LaurentPoly(NamedTuple):
     terms: tuple[tuple[int, int], ...] = ()
 
     @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
-
-    @staticmethod
     def one() -> "LaurentPoly":
         return LaurentPoly(((0, 1),))
 
@@ -54,16 +50,6 @@ class LaurentPoly(NamedTuple):
         if coeff == 0:
             return LaurentPoly()
         return LaurentPoly(((exp, coeff),))
-
-    @staticmethod
-    def from_dict(d: Mapping[int, int]) -> "LaurentPoly":
-        return LaurentPoly(_normalize(d.items()))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -76,12 +62,6 @@ class LaurentPoly(NamedTuple):
         if not other.terms:
             return self
         return LaurentPoly(_normalize(list(self.terms) + list(other.terms)))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -181,10 +161,6 @@ class SkeinPolynomial:
         self._entries = tuple(sorted([(mono, coeff) for mono, coeff in pairs if coeff], reverse=True))
 
     @staticmethod
-    def zero() -> "SkeinPolynomial":
-        return SkeinPolynomial()
-
-    @staticmethod
     def collect(sums: Mapping[BasisMonomial, Mapping[int, int]]) -> "SkeinPolynomial":
         """The polynomial of ``{monomial: {exponent: coefficient}}``."""
         return SkeinPolynomial({
@@ -222,12 +198,6 @@ class SkeinPolynomial:
         for m, c in other._entries:
             self.scale_into(sums, c, m)
         return SkeinPolynomial.collect(sums)
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def coefficient(self, mono: BasisMonomial) -> LaurentPoly:
-        return dict(self._entries).get(mono, LaurentPoly.zero())
 
     def items(self) -> Iterator[tuple[BasisMonomial, LaurentPoly]]:
         """Monomial/coefficient pairs, highest monomial first.

@@ -10,10 +10,11 @@ therefore realizable by a real curve system, which the classifier
 relies on.
 
 The check functions re-run the whole pipeline under transformations
-that must not change the result: resolution-order permutations and the
-encoding symmetries (rotation, reversal, height relabeling, component
-order).  The framing check adds a kink, which must multiply the value
-by -t^(3 sign) for every t, not only at t = -1.
+that must not change the result: crossing renumberings, which choose
+the order of resolution, and the encoding symmetries (rotation,
+reversal, height relabeling, component order).  The framing check adds
+a kink, which must multiply the value by -t^(3 sign) for every t, not
+only at t = -1.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .diagram import (
     crossing_code,
     pass_code,
     relabel_heights,
+    renumber_crossings,
     reverse_component,
     rotate_component,
     serialize_diagram,
@@ -276,9 +278,11 @@ def random_diagram_with_crossings(
 def check_confluence(d: SkeinDiagram) -> Optional[dict]:
     """Pipeline output must not depend on the crossing resolution order.
 
-    The orders share one memo for the values of crossing-free diagrams,
-    which no order can change; entries keyed with a sign table are
-    dropped after each order, so every order expands its crossings anew.
+    The walk smooths the lowest id first, so each permutation of the ids
+    is run by renumbering its crossings 1..r in that order.  The orders
+    share one memo for the values of crossing-free diagrams, which no
+    order can change; entries keyed with a sign table are dropped after
+    each order, so every order expands its crossings anew.
     """
     ids = d.crossing_ids()
     if len(ids) > 5:
@@ -287,7 +291,8 @@ def check_confluence(d: SkeinDiagram) -> Optional[dict]:
     baseline = None
     baseline_order = None
     for perm in permutations(ids):
-        poly = engine._basis_value(d, list(perm), memo=memo)
+        renumbered = renumber_crossings(d, {cid: i for i, cid in enumerate(perm, 1)})
+        poly = engine._basis_value(renumbered, memo=memo)
         for key in [k for k in memo if k[1]]:
             del memo[key]
         if baseline is None:

@@ -1,13 +1,14 @@
 """Crossing resolution: replace a term by the two smoothings of one crossing.
 
 With the two branches of the crossing at positions j1 < j2 (both dropped
-by every smoothing), the paper's four array operators are slices of the
-components (see ``diagram.Component``):
+by every smoothing), the paper's four array operators are slices of a
+component's two parallel tuples, ``codes`` and ``heights``; written for
+one array ``c`` they are
 
 * split:  ``c[j1+1:j2]`` and ``c[:j1] + c[j2+1:]`` - the section between
   the branches becomes a cycle of its own,
-* reverse: ``c[:j1] + reverse_component(c[j1+1:j2]) + c[j2+1:]`` - one
-  cycle, the section traversed backwards,
+* reverse: ``c[:j1] + reversed(c[j1+1:j2]) + c[j2+1:]`` - one cycle, the
+  section traversed backwards (``diagram.reverse_component``),
 * merge forward: ``cx[:j1] + cy[j2+1:] + cy[:j2] + cx[j1+1:]`` - the
   second cycle spliced into the first in its own direction,
 * merge back: the same with the second cycle's part reversed as a whole.
@@ -109,11 +110,3 @@ def resolve_crossing(t: Term, cid: int) -> tuple[Term, Term]:
         for comps, child_signs, exp in smoothings(t.diagram.components, signs, cid)
     )
 
-
-def _next_crossing(signs: dict[int, int], order: Sequence[int] | None) -> int:
-    """The first id of ``order`` still present, else the lowest id."""
-    if order:
-        for cid in order:
-            if cid in signs:
-                return cid
-    return min(signs)

@@ -18,6 +18,12 @@ other loop is delta = -t^2 - t^-2.  The skein module of the solid torus
 is Z[t, 1/t][x] (Przytycki, Bull. Polish Acad. Sci. Math. 39, 1991).  It
 shares no code with g2skein; the value of the mirror image is the same
 sum with t -> 1/t.
+
+``swap_strands`` turns the handlebody half a turn about the height axis:
+strands 1 and 2 trade places, front and back swap, so every over branch
+becomes an under branch, heights and signs stay, and a loop around
+strand 1 becomes one around strand 2.  The value of the image is the
+same sum with x -> z.
 """
 
 from __future__ import annotations
@@ -96,10 +102,29 @@ def annular_bracket(word: list[tuple[int, int]], n: int) -> dict:
     return {power: coeff for power, coeff in total.items() if coeff}
 
 
-def annular_failure(poly_obj: dict, expected: dict) -> Optional[str]:
-    """None when the pipeline's JSON value is ``expected`` (powers of x only)."""
+# (token, Q) of each strand pass under the half turn; it is an involution
+_SWAP = {("O1", 3): ("U2", 5), ("O1", 4): ("U2", 4), ("U1", 3): ("O2", 5), ("U1", 4): ("O2", 4)}
+_SWAP.update({image: pas for pas, image in _SWAP.items()})
+
+
+def swap_strands(doc: dict) -> dict:
+    """The image of ``doc`` under the half turn that swaps the strands."""
+    comps = []
+    for c in doc["components"]:
+        pairs = [
+            (("X-" if tok[1] == "+" else "X+") + tok[2:], q) if tok.startswith("X") else _SWAP[tok, q]
+            for tok, q in zip(c["E"], c["Q"])
+        ]
+        comps.append({"E": [tok for tok, _q in pairs], "I": list(c["I"]), "Q": [q for _tok, q in pairs]})
+    return {"components": comps, "U": dict(doc["U"])}
+
+
+def annular_failure(poly_obj: dict, expected: dict, around: str = "x") -> Optional[str]:
+    """None when the pipeline's JSON value is ``expected``, read as powers
+    of the loop ``around`` ("x", or "z" for a swapped closure)."""
     got = poly_terms(poly_obj)
-    want = {(power, 0, 0, 0): coeff for power, coeff in expected.items()}
+    slot = "xz".index(around) * 2
+    want = {tuple(power if i == slot else 0 for i in range(4)): coeff for power, coeff in expected.items()}
     if got != want:
         return f"value {sorted(got.items())} != state sum {sorted(want.items())}"
     return None

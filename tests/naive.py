@@ -7,21 +7,21 @@ orbit key found by trying every re-encoding, for the canonical key.
 """
 
 from itertools import permutations, product
-from typing import Optional, Sequence
+from typing import Optional
 
 from g2skein import Term
 from g2skein.classifier import evaluate
 from g2skein.diagram import Component, Expression, SkeinDiagram, crossing_code
 from g2skein.laurent import LaurentPoly
-from g2skein.resolver import _next_crossing, resolve_crossing
+from g2skein.resolver import resolve_crossing
 
 
-def resolve_all(e: Expression, order: Sequence[int] | None = None) -> Expression:
+def resolve_all(e: Expression) -> Expression:
     """Resolve every crossing of every term; no deduplication here.
 
-    A term with r crossings contributes exactly 2**r output terms.  By
-    default ids are resolved in ascending order; ``order`` overrides
-    that for the ids it lists.
+    A term with r crossings contributes exactly 2**r output terms.  Ids
+    are resolved in ascending order; renumber the crossings
+    (``diagram.renumber_crossings``) for another order.
     """
     out: list[Term] = []
     stack = list(e)
@@ -31,7 +31,7 @@ def resolve_all(e: Expression, order: Sequence[int] | None = None) -> Expression
         if not signs:
             out.append(t)
             continue
-        stack.extend(resolve_crossing(t, _next_crossing(signs, order)))
+        stack.extend(resolve_crossing(t, min(signs)))
     out.reverse()
     return out
 

@@ -1,7 +1,8 @@
 """The four array operators of crossing resolution and the reversal bookkeeping.
 
 The operators (split, reverse, merge forward, merge back) are slices of
-a ``Component`` inside ``resolver.resolve_crossing``.  The worked cases
+a component's code and height tuples in ``resolver.smoothings``, which
+``resolver.resolve_crossing`` wraps.  The worked cases
 pin the exact child arrays, and the properties check that every entry
 other than the two smoothed branches survives exactly once.
 """
@@ -183,17 +184,3 @@ def test_update_signs_is_involutive(signs):
     once = update_signs_on_reversal(signs, section)
     assert update_signs_on_reversal(once, section) == signs
 
-
-@given(section_codes, st.data())
-def test_component_wrappers_keep_lockstep(ks, data):
-    """Slices, sums and reversals keep each code with its height."""
-    hs = tuple(range(10, 10 + len(ks)))
-    c = Component(tuple(ks), hs)
-    a = data.draw(st.integers(0, len(ks)))
-    b = data.draw(st.integers(a, len(ks)))
-    rows = list(zip(ks, hs))
-    joined = c[b:] + c[:a]
-    assert list(zip(joined.codes, joined.heights)) == rows[b:] + rows[:a]
-    back = reverse_component(c[a:b])
-    flipped = [(k ^ 1 if k >= 0 else k, h) for k, h in reversed(rows[a:b])]
-    assert list(zip(back.codes, back.heights)) == flipped

@@ -20,10 +20,10 @@ from g2skein import (
 from g2skein.diagram import (
     Component,
     SkeinDiagram,
-    crossing_code,
     dedup_key,
     pass_code,
     relabel_heights,
+    renumber_crossings,
     reverse_component,
     rotate_component,
 )
@@ -225,6 +225,24 @@ def test_relabel_heights_rejects_bad_mappings(two_crossing):
         relabel_heights(two_crossing, collapse)
 
 
+def test_renumber_crossings_keeps_key_and_value(two_component):
+    ids = two_component.crossing_ids()
+    mapping = dict(zip(ids, [3 * cid + 4 for cid in reversed(ids)]))
+    renumbered = renumber_crossings(two_component, mapping)
+    assert validate(renumbered) == []
+    assert renumbered.crossing_ids() == sorted(mapping.values())
+    assert dedup_key(renumbered) == dedup_key(two_component)
+    assert engine.run_pipeline(renumbered) == engine.run_pipeline(two_component)
+    # every branch keeps its side and height, and every crossing its sign
+    assert renumber_crossings(renumbered, {new: old for old, new in mapping.items()}) == two_component
+
+
+def test_renumber_crossings_rejects_bad_mappings(two_crossing):
+    for mapping in ({1: 5}, {1: 3, 2: 3}, {1: 0, 2: 1}):
+        with pytest.raises(SkeinValidationError, match="one-to-one"):
+            renumber_crossings(two_crossing, mapping)
+
+
 def test_dedup_key_constant_on_symmetry_orbit(two_component):
     base = dedup_key(two_component)
 
@@ -265,16 +283,14 @@ def reencode(d, rng):
     reversed at random when ``d`` has no crossings, heights relabelled
     and crossings renumbered."""
     ids = d.crossing_ids()
-    rename = dict(zip(ids, rng.sample(range(1, 3 * len(ids) + 2), len(ids))))
+    renamed = renumber_crossings(d, dict(zip(ids, rng.sample(range(1, 3 * len(ids) + 2), len(ids)))))
     comps = []
-    for c in d.components:
+    for c in renamed.components:
         if not ids and rng.random() < 0.5:
             c = reverse_component(c)
-        c = rotate_component(c, rng.randrange(len(c) + 1))
-        codes = tuple(k if k >= 0 else crossing_code(rename[-k >> 1], not k & 1) for k in c.codes)
-        comps.append(Component(codes, c.heights))
+        comps.append(rotate_component(c, rng.randrange(len(c) + 1)))
     rng.shuffle(comps)
-    out = SkeinDiagram.make(comps, {rename[cid]: sign for cid, sign in d.sign_pairs})
+    out = SkeinDiagram.make(comps, renamed.signs())
     used = sorted({h for c in comps for h in c.heights})
     images = sorted(rng.sample(range(1, 4 * len(used) + 2), len(used)))
     return relabel_heights(out, dict(zip(used, images)))

@@ -11,7 +11,14 @@ import pytest
 
 import g2skein
 from g2skein import Term, cli, parse_diagram, serialize_diagram
-from g2skein.diagram import SkeinDiagram, relabel_heights, reverse_component, rotate_component
+from g2skein.diagram import (
+    SkeinDiagram,
+    dedup_key,
+    relabel_heights,
+    renumber_crossings,
+    reverse_component,
+    rotate_component,
+)
 from g2skein.classifier import evaluate
 from g2skein.engine import dedup, run_pipeline, split_stage
 from g2skein.errors import SkeinValidationError, StepLimitExceeded
@@ -22,6 +29,10 @@ from g2skein.sorter import sort_state
 from conftest import TWO_CROSSING_DOC, UNKNOT_DOC, doc_text
 from test_diagram import SPLIT_REGIONS_DOC
 from naive import naive_value, resolve_all, sort_expression
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import oracles  # noqa: E402
+import workloads  # noqa: E402
 
 
 def one_term(d, coeff=None):
@@ -104,8 +115,16 @@ def test_two_component_fixture_value(two_component):
 
 
 def test_resolution_order_does_not_change_value(two_crossing):
-    default = run_pipeline(two_crossing)
-    assert run_pipeline(two_crossing, order=[2, 1]) == default
+    """The walk smooths the lowest id first, so renumbering the crossings
+    reorders their resolution; the value must not move."""
+    flipped = renumber_crossings(two_crossing, {1: 2, 2: 1})
+    assert flipped != two_crossing
+    assert run_pipeline(flipped) == run_pipeline(two_crossing)
+    for seed in range(6):
+        d = random_diagram_with_crossings(seed, 3, 4)
+        ids = d.crossing_ids()
+        reversed_ids = renumber_crossings(d, dict(zip(ids, reversed(ids))))
+        assert run_pipeline(reversed_ids) == run_pipeline(d), seed
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -343,7 +362,7 @@ def test_cli_resolve_json(tmp_path):
 def test_cli_usage_errors_exit_1(tmp_path):
     f = tmp_path / "d.json"
     f.write_text(doc_text(UNKNOT_DOC))
-    for extra in (["--delta", "standard"], ["--aux-substitute"], ["--max-steps", "abc"]):
+    for extra in (["--delta", "standard"], ["--aux-substitute"], ["--max-steps", "abc"], ["--order", "1"]):
         r = run_cli("resolve", str(f), *extra)
         assert r.returncode == 1, extra
         assert "usage:" in r.stderr
@@ -355,6 +374,20 @@ def test_cli_resolve_step_limit(tmp_path):
     f.write_text(doc_text(TWO_CROSSING_DOC))
     r = run_cli("resolve", str(f), "--max-steps", "0")
     assert r.returncode == 3
+    # a braid closure expands crossings only and never sorts; the budget
+    # still stops it, and the run's own expansion count is enough
+    d = parse_diagram(json.dumps(oracles.braid_document(workloads.BRAID_WORD, workloads.BRAID_STRANDS)))
+    stats = {}
+    run_pipeline(d, stats=stats)
+    assert stats["sort_expansions"] == 0
+    spent = stats["crossing_expansions"] + stats["layer_splits"]
+    f = tmp_path / "braid.json"
+    f.write_text(serialize_diagram(d))
+    r = run_cli("resolve", str(f), "--max-steps", "0")
+    assert r.returncode == 3
+    assert r.stderr.strip() == "error: the walk needs more than 0 expansions"
+    assert run_cli("resolve", str(f), "--max-steps", str(spent - 1)).returncode == 3
+    assert run_cli("resolve", str(f), "--max-steps", str(spent)).returncode == 0
 
 
 def test_cli_fuzz_clean(tmp_path):

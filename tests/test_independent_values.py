@@ -13,7 +13,8 @@ and does its own arithmetic on plain ints:
 * the annular state sum at generic t (``annular``, kept under ``tests/``)
   on braids closed around strand 1, as drawn and mirrored; the mirror
   images have n^2 height inversions, so this is the check with an
-  independently computed value that drives the sorter.
+  independently computed value that drives the sorter; and the same
+  closures with the strands swapped, around strand 2, valued in z.
 """
 
 import json
@@ -31,7 +32,7 @@ import conftest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import oracles  # noqa: E402
-from annular import annular_bracket, annular_document, annular_failure  # noqa: E402
+from annular import annular_bracket, annular_document, annular_failure, swap_strands  # noqa: E402
 
 FIXTURES = sorted(name for name in dir(conftest) if name.endswith("_DOC"))
 PAIRS = oracles.random_sl2_pairs(0, 2)
@@ -105,3 +106,19 @@ def test_annular_check_rejects_a_perturbed_value():
     assert annular_failure(value, bumped) is not None
     assert annular_failure(value, inverted(expected)) is not None
     assert annular_failure(value, {power + 1: coeff for power, coeff in expected.items()}) is not None
+    # the swapped closure is valued in z, and read as x it fails
+    swapped = value_obj(swap_strands(annular_document(word, 2)))
+    assert annular_failure(swapped, expected, "z") is None
+    assert annular_failure(swapped, expected) is not None
+    assert annular_failure(swapped, bumped, "z") is not None
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_annular_state_sum_on_closures_around_strand_2(mirror):
+    for n, word in annular_words():
+        doc, expected = annular_document(word, n), annular_bracket(word, n)
+        if mirror:
+            doc, expected = oracles.mirror_document(doc), inverted(expected)
+        failure = annular_failure(value_obj(swap_strands(doc)), expected, "z")
+        assert failure is None, f"{n} threads, word {word}, mirror {mirror}: {failure}"
+

@@ -136,15 +136,15 @@ def test_sort_expression_structure():
 
 
 def test_step_limit_fires():
-    """The budget counts sort expansions per run: exactly the number a
-    run spends is enough, one fewer raises."""
+    """The budget counts the expansions of every rule per run: exactly
+    the number a run spends is enough, one fewer raises."""
     swap = {"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}}
     for doc in (swap, Y_NEG_DOC, TWO_CROSSING_DOC):
         d = parse(doc)
         stats = {}
         run_pipeline(d, stats=stats)
-        spent = stats["sort_expansions"]
-        assert spent > 0
+        assert stats["sort_expansions"] > 0
+        spent = stats["crossing_expansions"] + stats["sort_expansions"] + stats["layer_splits"]
         run_pipeline(d, max_steps=spent)
         with pytest.raises(StepLimitExceeded):
             run_pipeline(d, max_steps=spent - 1)
