@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="run the full pipeline on a diagram file")
     p.add_argument("file")
-    p.add_argument("--max-steps", type=int, default=None, help="cap on expansions per run, all rules together")
+    p.add_argument("--max-steps", type=_count, default=None, help="cap on expansions per run, all rules together")
     p.add_argument("--trace", help="write a line-delimited step trace to this file")
     p.add_argument("--output", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_resolve)

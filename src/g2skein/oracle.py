@@ -9,18 +9,24 @@ their signs, come from honest geometry.  Every generated encoding is
 therefore realizable by a real curve system, which the classifier
 relies on.
 
+Of the height shuffles, the generator keeps the draw with the fewest
+inversions as the sorter counts them (``sorter.sort_state``).  The
+benchmark's inputs and the golden values are built from these diagrams,
+so a test pins a digest of the generator's output.
+
 The check functions re-run the whole pipeline under transformations
 that must not change the result: crossing renumberings, which choose
 the order of resolution, and the encoding symmetries (rotation,
 reversal, height relabeling, component order).  The framing check adds
 a kink, which must multiply the value by -t^(3 sign) for every t, not
-only at t = -1.
+only at t = -1.  Each check is a list of cases, (label, diagram,
+expected value), run by one loop that reports the first failure as
+``{"property", "case", "value_expected", "value_found"}``.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import cos, pi, sin
@@ -30,7 +36,6 @@ from .diagram import (
     Component,
     SkeinDiagram,
     crossing_code,
-    pass_code,
     relabel_heights,
     renumber_crossings,
     reverse_component,
@@ -41,6 +46,7 @@ from .diagram import (
 from .errors import InternalInvariantError
 from .laurent import LaurentPoly
 from .resolver import update_signs_on_reversal
+from .sorter import sort_state
 from . import engine
 
 __all__ = [
@@ -54,13 +60,14 @@ __all__ = [
 
 _NEXT_REGION = {"L": ["M"], "R": ["M"], "M": ["L", "R"]}
 
-# (strand, direction code) for a region transition
-_TRANSITION = {
-    ("L", "M"): (1, 3),
-    ("M", "L"): (1, 4),
-    ("M", "R"): (2, 4),
-    ("R", "M"): (2, 5),
-}
+# the front code of the strand pass a region transition makes (see
+# ``diagram``); the pass behind the strand has the code | 4
+_TRANSITION = {("L", "M"): 0, ("M", "L"): 1, ("M", "R"): 2, ("R", "M"): 3}
+
+# the order of the strand passes around each region's boundary: strand 1
+# upward in L and downward in M, then strand 2 upward in M and downward
+# in R; keyed by (region, strand index), index 0 for strand 1
+_RING_DIRECTION = {("L", 0): 1, ("M", 0): -1, ("M", 1): 1, ("R", 1): -1}
 
 
 def _random_walk(rng: random.Random) -> Optional[list[str]]:
@@ -76,8 +83,10 @@ def _random_walk(rng: random.Random) -> Optional[list[str]]:
     return None
 
 
-def _segment_cross(p1, p2, p3, p4) -> Optional[tuple[Fraction, Fraction]]:
-    """Parameters (t, u) of a proper crossing of p1p2 with p3p4, if any.
+def _segment_cross(p1, p2, p3, p4) -> Optional[tuple[Fraction, Fraction, Fraction]]:
+    """Parameters (t, u) of a proper crossing of p1p2 with p3p4, if any,
+    and the determinant of their directions (positive when p3p4 runs to
+    the left of p1p2).
 
     Exact over rational coordinates, so the parameter order of several
     crossings along one segment is always the true geometric order.
@@ -91,7 +100,7 @@ def _segment_cross(p1, p2, p3, p4) -> Optional[tuple[Fraction, Fraction]]:
     t = (w[0] * d2[1] - w[1] * d2[0]) / den
     u = (w[0] * d1[1] - w[1] * d1[0]) / den
     if 0 < t < 1 and 0 < u < 1:
-        return t, u
+        return t, u, den
     return None
 
 
@@ -107,133 +116,83 @@ def _build_attempt(rng: random.Random, max_components: int) -> Optional[SkeinDia
             w = ["L", "M", "L"]
         walks.append(w)
 
-    # passes[(ci, k)] -> (strand, orient, over, height)
-    passes: dict[tuple[int, int], tuple[int, int, bool, int]] = {}
-    order: list[tuple[int, int]] = []
+    # codes[(ci, k)]: pass k of component ci, from walk[k] into walk[k+1]
+    codes: dict[tuple[int, int], int] = {}
     for ci, walk in enumerate(walks):
-        for k in range(max(0, len(walk) - 1)):
-            strand, q = _TRANSITION[(walk[k], walk[k + 1])]
-            passes[(ci, k)] = (strand, q, rng.random() < 0.5, 0)
-            order.append((ci, k))
+        for k in range(len(walk) - 1):
+            front = _TRANSITION[walk[k], walk[k + 1]]
+            codes[(ci, k)] = front if rng.random() < 0.5 else front | 4
+    order = list(codes)
     # sorting cost grows steeply with the number of height inversions, so
-    # resample the height shuffle a few times and keep the mildest draw;
-    # this shapes only the height pattern, never the curves themselves
+    # resample the height shuffle a few times and keep the mildest draw,
+    # counted by the sorter itself on the bare strand passes; this shapes
+    # only the height pattern, never the curves themselves
+    passes = tuple(codes.values())
     pool = list(range(1, len(order) + 1))
     best_pool: list[int] = list(pool)
     best_inv: Optional[int] = None
     for _ in range(30):
         rng.shuffle(pool)
-        inv = 0
-        for s in (1, 2):
-            overs, unders = [], []
-            for key, h in zip(order, pool):
-                strand, _q, over, _h = passes[key]
-                if strand == s:
-                    (overs if over else unders).append(h)
-            unders.sort()
-            for h in overs:
-                inv += bisect_left(unders, h)
+        inv = sort_state(SkeinDiagram.make([Component(passes, tuple(pool))]))[1]
         if best_inv is None or inv < best_inv:
             best_inv, best_pool = inv, list(pool)
         if best_inv <= 10:
             break
-    for key, h in zip(order, best_pool):
-        strand, q, over, _ = passes[key]
-        passes[key] = (strand, q, over, h)
+    height = dict(zip(order, best_pool))
 
-    # arcs[(ci, k)] connects pass k to pass k+1 (mod m) inside walk[k+1]
+    def after(p: tuple[int, int]) -> tuple[int, int]:
+        return p[0], (p[1] + 1) % (len(walks[p[0]]) - 1)
+
+    # arc (ci, k) connects pass k to pass k+1 (mod m) inside walk[k+1]
     region_arcs: dict[str, list[tuple[int, int]]] = {"L": [], "M": [], "R": []}
-    for ci, walk in enumerate(walks):
-        m = len(walk) - 1
-        for k in range(max(0, m)):
-            region_arcs[walk[k + 1]].append((ci, k))
+    for ci, k in order:
+        region_arcs[walks[ci][k + 1]].append((ci, k))
 
     # place every region's arc endpoints on a circle, in the cyclic order
     # the region boundary really has, so chord crossings and their signs
     # match a true drawing
-    pts: dict[str, dict[tuple[int, int], tuple[float, float]]] = {}
+    pts: dict[str, dict[tuple[int, int], tuple[Fraction, Fraction]]] = {}
     for region, arcs in region_arcs.items():
-        eps_keys: set[tuple[int, int]] = set()
-        for ci, k in arcs:
-            m = len(walks[ci]) - 1
-            eps_keys.add((ci, k))
-            eps_keys.add((ci, (k + 1) % m))
-        if region == "L":
-            ring = sorted(eps_keys, key=lambda p: passes[p][3])
-        elif region == "R":
-            ring = sorted(eps_keys, key=lambda p: -passes[p][3])
-        else:
-            ones = sorted(
-                (p for p in eps_keys if passes[p][0] == 1),
-                key=lambda p: -passes[p][3],
-            )
-            twos = sorted(
-                (p for p in eps_keys if passes[p][0] == 2),
-                key=lambda p: passes[p][3],
-            )
-            ring = ones + twos
+        ring = sorted({p for a in arcs for p in (a, after(a))}, key=lambda p: (
+            codes[p] >> 1 & 1, _RING_DIRECTION[region, codes[p] >> 1 & 1] * height[p]))
         count = max(1, len(ring))
         # jitter each endpoint inside its slot: an evenly spaced ring makes
         # symmetric chord triples exactly concurrent, and a triple point
         # records crossing orders along the arcs that no drawing has
-        pts[region] = {}
-        for i, p in enumerate(ring):
-            ang = 2 * pi * (i + 0.15 + 0.7 * rng.random()) / count
-            pts[region][p] = (Fraction(cos(ang)), Fraction(sin(ang)))
+        angles = [2 * pi * (i + 0.15 + 0.7 * rng.random()) / count for i in range(len(ring))]
+        pts[region] = {p: (Fraction(cos(a)), Fraction(sin(a))) for p, a in zip(ring, angles)}
 
-    # intersect arcs region by region
-    arc_hits: dict[tuple[int, int], list[tuple[float, int, bool]]] = {}
+    # intersect arcs region by region; a crossing is positive when its
+    # under arc runs to the left of its over arc
+    arc_hits: dict[tuple[int, int], list[tuple[Fraction, int, bool]]] = {}
     signs: dict[int, int] = {}
-    next_id = 1
     for region, arcs in region_arcs.items():
         table = pts[region]
-        ends = {}
-        for a in arcs:
-            ci, k = a
-            m = len(walks[ci]) - 1
-            ends[a] = (table[(ci, k)], table[(ci, (k + 1) % m)])
         for a, b in combinations(arcs, 2):
-            hit = _segment_cross(*ends[a], *ends[b])
+            hit = _segment_cross(table[a], table[after(a)], table[b], table[after(b)])
             if hit is None:
                 continue
-            t, u = hit
-            cid = next_id
-            next_id += 1
+            t, u, det = hit
+            cid = len(signs) + 1
             a_over = rng.random() < 0.5
-            da = (
-                ends[a][1][0] - ends[a][0][0],
-                ends[a][1][1] - ends[a][0][1],
-            )
-            db = (
-                ends[b][1][0] - ends[b][0][0],
-                ends[b][1][1] - ends[b][0][1],
-            )
-            over_d, under_d = (da, db) if a_over else (db, da)
-            signs[cid] = 1 if over_d[0] * under_d[1] - over_d[1] * under_d[0] > 0 else -1
+            signs[cid] = 1 if (det > 0) == a_over else -1
             arc_hits.setdefault(a, []).append((t, cid, a_over))
             arc_hits.setdefault(b, []).append((u, cid, not a_over))
 
     # a parameter tie would leave the crossing order along an arc up to the
     # sort's whim; only true concurrency can produce one now, so resample
-    for hits in arc_hits.values():
-        params = [t for t, _cid, _o in hits]
-        if len(params) != len(set(params)):
-            return None
+    if any(len(hits) != len({t for t, _c, _o in hits}) for hits in arc_hits.values()):
+        return None
 
     base = len(order)
     components = []
     for ci, walk in enumerate(walks):
-        m = len(walk) - 1
-        codes: list[int] = []
-        heights: list[int] = []
-        for k in range(max(0, m)):
-            strand, q, over, h = passes[(ci, k)]
-            codes.append(pass_code(f"{'O' if over else 'U'}{strand}", q))
-            heights.append(h)
+        entries: list[tuple[int, int]] = []
+        for k in range(len(walk) - 1):
+            entries.append((codes[ci, k], height[ci, k]))
             for _t, cid, over_here in sorted(arc_hits.get((ci, k), [])):
-                codes.append(crossing_code(cid, over_here))
-                heights.append(base + cid)
-        components.append(Component(tuple(codes), tuple(heights)))
+                entries.append((crossing_code(cid, over_here), base + cid))
+        components.append(Component(tuple(k for k, _ in entries), tuple(h for _, h in entries)))
 
     d = SkeinDiagram.make(components, signs)
     problems = validate(d)
@@ -256,7 +215,7 @@ def random_diagram(
         if d is not None and len(d.sign_pairs) <= max_self_crossings:
             return d
     # overwhelmingly unlikely; keep the contract deterministic anyway
-    loop = Component((pass_code("O1", 3), pass_code("U1", 4)), (1, 2))
+    loop = Component((0, 5), (1, 2))  # in front of strand 1, back behind it
     return SkeinDiagram.make([loop], {})
 
 
@@ -275,77 +234,77 @@ def random_diagram_with_crossings(
 # ---------------------------------------------------------------------------
 # metamorphic checks
 
+def _first_failure(prop: str, value, cases) -> Optional[dict]:
+    """The first of ``cases``, (label, diagram, expected value) triples,
+    whose ``value`` differs from the expected one, as a failure record;
+    None when every case holds."""
+    for case, d, expected in cases:
+        found = value(d)
+        if found != expected:
+            return {
+                "property": prop,
+                "case": case,
+                "value_expected": expected.text(),
+                "value_found": found.text(),
+            }
+    return None
+
+
 def check_confluence(d: SkeinDiagram) -> Optional[dict]:
     """Pipeline output must not depend on the crossing resolution order.
 
     The walk smooths the lowest id first, so each permutation of the ids
-    is run by renumbering its crossings 1..r in that order.  The orders
-    share one memo for the values of crossing-free diagrams, which no
-    order can change; entries keyed with a sign table are dropped after
-    each order, so every order expands its crossings anew.
+    is run by renumbering its crossings 1..r in that order, and checked
+    against the order by ascending id.  The orders share one memo for the
+    values of crossing-free diagrams, which no order can change; entries
+    keyed with a sign table are dropped after each order, so every order
+    expands its crossings anew.
     """
     ids = d.crossing_ids()
     if len(ids) > 5:
         raise ValueError("too many crossings for exhaustive order checking")
     memo: dict = {}
-    baseline = None
-    baseline_order = None
-    for perm in permutations(ids):
-        renumbered = renumber_crossings(d, {cid: i for i, cid in enumerate(perm, 1)})
-        poly = engine._basis_value(renumbered, memo=memo)
+
+    def value(x: SkeinDiagram):
+        poly = engine._basis_value(x, memo=memo)
         for key in [k for k in memo if k[1]]:
             del memo[key]
-        if baseline is None:
-            baseline, baseline_order = poly, perm
-        elif poly != baseline:
-            return {
-                "property": "confluence",
-                "order_a": list(baseline_order),
-                "order_b": list(perm),
-                "value_a": baseline.text(),
-                "value_b": poly.text(),
-            }
-    return None
+        return poly
+
+    orders = (
+        (f"order {list(perm)}", renumber_crossings(d, {cid: i for i, cid in enumerate(perm, 1)}))
+        for perm in permutations(ids)
+    )
+    expected = value(next(orders)[1])
+    return _first_failure("confluence", value, ((case, x, expected) for case, x in orders))
 
 
 def _variants(d: SkeinDiagram):
+    signs = d.signs()
     for li, c in enumerate(d.components):
         if len(c) > 1:
-            comps = list(d.components)
-            comps[li] = rotate_component(c, 1)
-            yield "rotate+1", SkeinDiagram.make(comps, d.signs())
-            comps = list(d.components)
-            comps[li] = rotate_component(c, len(c) // 2)
-            yield "rotate+half", SkeinDiagram.make(comps, d.signs())
             # reversing a component's traversal flips the signs of the
             # crossings it shares with other components
-            comps = list(d.components)
-            comps[li] = reverse_component(c)
-            signs = update_signs_on_reversal(d.signs(), c.codes)
-            yield "reverse", SkeinDiagram.make(comps, signs)
+            for name, new, new_signs in (
+                ("rotate+1", rotate_component(c, 1), signs),
+                ("rotate+half", rotate_component(c, len(c) // 2), signs),
+                ("reverse", reverse_component(c), update_signs_on_reversal(signs, c.codes)),
+            ):
+                comps = d.components[:li] + (new,) + d.components[li + 1:]
+                yield name, SkeinDiagram.make(comps, new_signs)
     used = {h for c in d.components for h in c.heights if h > 0}
     if used:
         yield "heights*2", relabel_heights(d, {h: 2 * h for h in used})
         yield "heights+7", relabel_heights(d, {h: h + 7 for h in used})
     if len(d.components) > 1:
-        yield "components-reversed", SkeinDiagram.make(
-            list(d.components)[::-1], d.signs()
-        )
+        yield "components-reversed", SkeinDiagram.make(d.components[::-1], signs)
 
 
 def check_encoding_invariance(d: SkeinDiagram) -> Optional[dict]:
     """Rotations, reversals, relabelings, reorderings must leave the value alone."""
     base = engine.run_pipeline(d)
-    for name, variant in _variants(d):
-        poly = engine.run_pipeline(variant)
-        if poly != base:
-            return {
-                "property": "encoding-invariance",
-                "transform": name,
-                "value_base": base.text(),
-                "value_variant": poly.text(),
-            }
-    return None
+    cases = ((name, variant, base) for name, variant in _variants(d))
+    return _first_failure("encoding-invariance", engine.run_pipeline, cases)
 
 
 def _with_kink(d: SkeinDiagram, sign: int, over_first: bool) -> SkeinDiagram:
@@ -368,19 +327,16 @@ def check_framing(d: SkeinDiagram) -> Optional[dict]:
     """A kink of sign s must multiply the value by -t^(3 s), whichever of
     its branches comes first."""
     base = engine.run_pipeline(d)
-    for sign in (1, -1):
-        expected = base.scaled(LaurentPoly.monomial(3 * sign, -1))
-        for over_first in (True, False):
-            poly = engine.run_pipeline(_with_kink(d, sign, over_first))
-            if poly != expected:
-                return {
-                    "property": "framing",
-                    "sign": sign,
-                    "over_first": over_first,
-                    "value_expected": expected.text(),
-                    "value_kinked": poly.text(),
-                }
-    return None
+    cases = (
+        (
+            f"kink {sign:+d}, {'over' if over_first else 'under'} branch first",
+            _with_kink(d, sign, over_first),
+            base.scaled(LaurentPoly.monomial(3 * sign, -1)),
+        )
+        for sign in (1, -1)
+        for over_first in (True, False)
+    )
+    return _first_failure("framing", engine.run_pipeline, cases)
 
 
 def write_repro(path: str, d: SkeinDiagram, info: dict) -> None:

@@ -362,7 +362,13 @@ def test_cli_resolve_json(tmp_path):
 def test_cli_usage_errors_exit_1(tmp_path):
     f = tmp_path / "d.json"
     f.write_text(doc_text(UNKNOT_DOC))
-    for extra in (["--delta", "standard"], ["--aux-substitute"], ["--max-steps", "abc"], ["--order", "1"]):
+    for extra in (
+        ["--delta", "standard"],
+        ["--aux-substitute"],
+        ["--max-steps", "abc"],
+        ["--order", "1"],
+        ["--max-steps", "-1"],
+    ):
         r = run_cli("resolve", str(f), *extra)
         assert r.returncode == 1, extra
         assert "usage:" in r.stderr
@@ -395,6 +401,9 @@ def test_cli_fuzz_clean(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "6 diagrams" in r.stdout
     r = run_cli("fuzz", "--seed", "5", "--count", "6", "--check", "framing", cwd=str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert "6 diagrams" in r.stdout
+    r = run_cli("fuzz", "--seed", "5", "--count", "6", "--check", "all", cwd=str(tmp_path))
     assert r.returncode == 0, r.stderr
     assert "6 diagrams" in r.stdout
 

@@ -8,7 +8,12 @@ that emits a non-drawable encoding shows up as two arcs whose endpoint
 pairs alternate around a region boundary.
 """
 
-from g2skein import Term, serialize_diagram, validate
+import hashlib
+
+import pytest
+
+from g2skein import Term, engine, parse_diagram, serialize_diagram, validate
+from g2skein.cli import main
 from g2skein.diagram import pass_token
 from g2skein.laurent import LaurentPoly
 from g2skein.oracle import (
@@ -29,6 +34,20 @@ def test_generator_is_deterministic():
         a = random_diagram(seed)
         b = random_diagram(seed)
         assert serialize_diagram(a) == serialize_diagram(b)
+
+
+def test_generator_output_is_pinned():
+    # the golden values and the benchmark's inputs are built from these
+    # diagrams; a change to the walk, the height draw, the chord geometry
+    # or the order of the random calls moves this digest
+    diagrams = [random_diagram(s, 2, 3) for s in [*range(150), 172]]
+    diagrams += [random_diagram(s, 2, 2) for s in range(60)]
+    diagrams.append(random_diagram_with_crossings(11, 10, 10))
+    text = "\n".join(serialize_diagram(d) for d in diagrams)
+    assert len(diagrams) == 212
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f746682305a60858502ef70c9c47560df504ac7b75002c53ca4da20c2750f2b3"
+    )
 
 
 def test_generated_diagrams_are_valid():
@@ -149,3 +168,47 @@ def test_write_repro_round_trips(tmp_path, two_crossing):
     assert "# seed: 7" in text
     parsed = parse_diagram(text)
     assert serialize_diagram(parsed) == serialize_diagram(two_crossing)
+
+
+FAILING_SEED = 7  # random_diagram(7): three crossings and a nonzero value
+
+
+@pytest.mark.parametrize(
+    "check, prop, flag, target",
+    [
+        (check_confluence, "confluence", "confluence", "_basis_value"),
+        (check_encoding_invariance, "encoding-invariance", "invariance", "run_pipeline"),
+        (check_framing, "framing", "framing", "run_pipeline"),
+    ],
+    ids=["confluence", "invariance", "framing"],
+)
+def test_checks_report_a_perturbed_value(check, prop, flag, target, monkeypatch, tmp_path, two_crossing):
+    """Each check, and ``fuzz`` on it, rejects a pipeline whose every
+    value after the first is scaled by t."""
+    original = getattr(engine, target)
+
+    def perturb():
+        calls = []
+
+        def value(*args, **kwargs):
+            calls.append(None)
+            poly = original(*args, **kwargs)
+            return poly if len(calls) == 1 else poly.scaled(LaurentPoly.monomial(1))
+
+        monkeypatch.setattr(engine, target, value)
+
+    perturb()
+    failure = check(two_crossing)
+    assert failure["property"] == prop
+    assert failure["case"]
+    assert failure["value_expected"] != failure["value_found"]
+
+    perturb()
+    monkeypatch.chdir(tmp_path)
+    assert main(["fuzz", "--seed", str(FAILING_SEED), "--count", "1", "--check", flag]) == 2
+    text = (tmp_path / f"repro-{FAILING_SEED}.json").read_text()
+    assert text.startswith(f"# failed property: {prop}")
+    for field in ("case", "seed", "value_expected", "value_found"):
+        assert f"# {field}: " in text
+    parsed = parse_diagram(text)
+    assert serialize_diagram(parsed) == serialize_diagram(random_diagram(FAILING_SEED))
