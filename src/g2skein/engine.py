@@ -8,10 +8,12 @@ more than one (the layer rule, ``split_stage``) and otherwise expands
 by one sorting slide (the sort rule, ``sort_stage``).  A sorted
 crossing-free child is a leaf: its parent hands all its leaves to one
 classifier call and never keys them, since classifying costs less than
-keying.  Every other node is valued once per run: the memo is keyed by
-``dedup_key`` and lives for one ``run_pipeline`` call, so diamonds in
-the rewriting graph and repeated smoothings cost a lookup.  The walk is
-also the only place that writes trace records, spends the expansion
+keying.  Every other node, the root included, is valued once per run:
+the memo is keyed by ``dedup_key`` and lives for one ``run_pipeline``
+call, so diamonds in the rewriting graph and repeated smoothings cost a
+lookup.  A pending node is one stack frame holding its key, its diagram
+until it expands, and then its expansion until it is valued.  The walk
+is also the only place that writes trace records, spends the expansion
 budget and counts work.
 
 Why the layer rule is sound.  The genus-2 handlebody is P x I, with P
@@ -36,6 +38,7 @@ so it is a group of its own.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from typing import Callable, Optional
@@ -120,14 +123,11 @@ def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
     return factors, {"stage": "split", "groups": len(groups)}
 
 
-def sort_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
-    """Sort rule: one slide of a crossing-free term and its trace record,
-    or None when the term is sorted."""
-    slide = sorter.sort_state(t.diagram)[2]
-    if slide is None:
-        return None
-    record = {"stage": "sort", "strand": slide[0], "under": slide[1], "over": slide[2]}
-    return sorter.sort_step(t), record
+def sort_stage(t: Term) -> tuple[list[Term], dict]:
+    """Sort rule: one slide of an unsorted crossing-free term and its
+    trace record."""
+    strand, under, over = sorter.sort_state(t.diagram)[2]
+    return sorter.sort_step(t), {"stage": "sort", "strand": strand, "under": under, "over": over}
 
 
 def _basis_value(
@@ -139,61 +139,51 @@ def _basis_value(
 ) -> SkeinPolynomial:
     """Value of a validated diagram in the basis.
 
-    Depth-first with an explicit stack and one memo entry per distinct
-    diagram (up to encoding orbit) that is not a sorted leaf.  Edges of
-    a crossing or sort expansion carry the smoothing or twist
+    Depth-first over a stack of frames ``[key, diagram, expansion]``,
+    one memo entry per distinct diagram (up to encoding orbit) that is
+    not a sorted leaf; the root is keyed like every other node.  Edges
+    of a crossing or sort expansion carry the smoothing or twist
     coefficients and the node's value is their weighted sum; the edges
     of a split lead to its layers and the node's value is their
     product; sorted children enter it through one ``classifier.evaluate``
-    call.  The measure
-    (crossings, then strand passes, then inversions, then components)
-    strictly decreases along every edge, so the walk is finite and the
-    memo acyclic.  A node's diagram and edges are dropped as soon as it
-    is valued.  ``max_steps`` caps the expansions of the run, of all
-    three rules together.
-    ``memo`` maps keys to values already known; it is empty unless the
-    caller passes one.  ``stats`` gets ``nodes`` (keyed nodes and the
-    root), ``leaves`` (sorted children) and the expansions per rule.
+    call.  The measure (crossings, then strand passes, then inversions,
+    then components) strictly decreases along every edge, so the walk is
+    finite and the memo acyclic.  A frame drops its diagram once the
+    node has expanded, and the frame itself once the node is valued.  A
+    child already pending lower on the stack is pushed again with the
+    diagram in hand and valued first; the lower frame then finds its key
+    in the memo.  ``max_steps`` caps the expansions of the run, of all
+    three rules together.  ``memo`` maps keys to values already known;
+    it is empty unless the caller passes one.  ``stats`` gets ``nodes``
+    (keyed nodes, the root included), ``leaves`` (sorted children) and
+    the expansions per rule.
     """
 
     one = LaurentPoly.one()
     if memo is None:
         memo = {}
-    # every other node has a smaller measure, so the root needs no key
-    reprs: dict[Optional[tuple], SkeinDiagram] = {None: d0}
-    expansions: dict[Optional[tuple], tuple[bool, SkeinPolynomial, list]] = {}
-    crossings = sorts = splits = n_leaves = 0
-    stack: list[Optional[tuple]] = [None]
+    root = dedup_key(d0)
+    # a sorted root is a leaf, and no rule expands a leaf
+    if root not in memo and not d0.sign_pairs and not sorter.sort_state(d0)[1]:
+        memo[root] = classifier.evaluate([Term(one, d0)])
+    counts: dict[str, int] = {}
+    n_leaves = 0
+    stack = [[root, d0, None]]
     while stack:
-        key = stack[-1]
+        frame = stack[-1]
+        key, d, expansion = frame
         if key in memo:
             stack.pop()
             continue
-        expansion = expansions.get(key)
         if expansion is None:
-            d = reprs[key]
             t = Term(one, d)
-            product = False
-            if d.sign_pairs:
-                children, record = resolve_stage(t)
-                crossings += 1
-            elif not sorter.sort_state(d)[1]:  # a sorted root
-                memo[key] = classifier.evaluate([t])
-                del reprs[key]
-                stack.pop()
-                continue
-            else:
-                split = split_stage(t)
-                if split is not None:
-                    # factors of a product: equal layers are not merged
-                    children, record = split
-                    product = True
-                    splits += 1
-                else:
-                    sorts += 1
-                    children, record = sort_stage(t)
-            if max_steps is not None and crossings + sorts + splits > max_steps:
+            children, record = resolve_stage(t) if d.sign_pairs else split_stage(t) or sort_stage(t)
+            counts[record["stage"]] = counts.get(record["stage"], 0) + 1
+            if max_steps is not None and sum(counts.values()) > max_steps:
                 raise StepLimitExceeded(f"the walk needs more than {max_steps} expansions")
+            if emit is not None:
+                emit(record)
+            product = record["stage"] == "split"
             # sorted children are leaves, valued here without a key
             leaves, inner = [], []
             for ch in children:
@@ -201,27 +191,18 @@ def _basis_value(
                 (inner if cd.sign_pairs or sorter.sort_state(cd)[1] else leaves).append(ch)
             n_leaves += len(leaves)
             if product:
-                # the leaf layers as one term: its value is their product (1 if none)
+                # factors of a product: equal layers are not merged, and
+                # the leaf layers are one term whose value is their product
                 leaves = [Term(one, SkeinDiagram.make([c for f in leaves for c in f.diagram.components]))]
             else:
                 inner = dedup(inner)
-            if emit is not None:
-                emit(record)
-            edges = []
-            pending = []
-            for ch in inner:
-                ck = dedup_key(ch.diagram)
-                edges.append((ch.coeff, ck))
-                if ck not in memo:
-                    # a child seen but not yet valued sits lower on the
-                    # stack; pushing it again values it first
-                    reprs.setdefault(ck, ch.diagram)
-                    pending.append(ck)
-            expansion = expansions[key] = (product, classifier.evaluate(leaves), edges)
+            edges = [(ch.coeff, dedup_key(ch.diagram)) for ch in inner]
+            pending = [[ck, ch.diagram, None] for ch, (_coeff, ck) in zip(inner, edges) if ck not in memo]
+            frame[1:] = None, (product, classifier.evaluate(leaves), edges)
             if pending:
                 stack.extend(pending)
                 continue
-        product, total, edges = expansion
+        product, total, edges = frame[2]
         if product:
             for _coeff, ck in edges:
                 total = total * memo[ck]
@@ -232,18 +213,16 @@ def _basis_value(
                 memo[ck].scale_into(sums, coeff)
             total = SkeinPolynomial.collect(sums)
         memo[key] = total
-        del reprs[key], expansions[key]
         stack.pop()
-    value = memo.pop(None)
     if stats is not None:
         stats.update(
-            nodes=len(memo) + 1,
-            crossing_expansions=crossings,
-            sort_expansions=sorts,
-            layer_splits=splits,
+            nodes=len(memo),
+            crossing_expansions=counts.get("resolve", 0),
+            sort_expansions=counts.get("sort", 0),
+            layer_splits=counts.get("split", 0),
             leaves=n_leaves,
         )
-    return value
+    return memo[root]
 
 
 def run_pipeline(
@@ -265,9 +244,8 @@ def run_pipeline(
         raise SkeinValidationError(violations)
 
     started = time.perf_counter()
-    trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
-    emit = (lambda record: trace_fh.write(json.dumps(record) + "\n")) if trace_fh else None
-    try:
+    with open(trace_path, "w", encoding="utf-8") if trace_path else contextlib.nullcontext() as fh:
+        emit = (lambda record: fh.write(json.dumps(record) + "\n")) if fh else None
         if emit:
             emit({"stage": "start", "crossings": len(d.sign_pairs)})
         poly = _basis_value(d, max_steps, emit, stats)
@@ -275,7 +253,4 @@ def run_pipeline(
             stats["seconds"] = time.perf_counter() - started
         if emit:
             emit({"stage": "done", "polynomial": poly.text()})
-        return poly
-    finally:
-        if trace_fh:
-            trace_fh.close()
+    return poly

@@ -143,14 +143,15 @@ def sort_step(t: Term) -> Optional[list[Term]]:
 
     The induced crossings are smoothed in ascending id order.  A slide
     keeps the set of heights, so the children share the parent's height
-    ranks (``diagram.height_ranks``).  Every child must come back with
-    strictly fewer inversions (or strictly fewer strand passes) than the
-    parent, otherwise the progress monitor aborts.
+    ranks (``diagram.height_ranks``).  The slide swaps two passes that
+    are neighbours in height on one strand and smoothing moves no pass,
+    so every child must come back with exactly one inversion fewer than
+    the parent, otherwise the progress monitor aborts.
     """
     d = t.diagram
     if d.sign_pairs:
         raise InternalInvariantError("sorting requires all crossings resolved")
-    passes, inversions, slide = sort_state(d)
+    inversions, slide = sort_state(d)[1:]
     if slide is None:
         return None
 
@@ -169,7 +170,7 @@ def sort_step(t: Term) -> Optional[list[Term]]:
     ]
 
     for child in children:
-        child_passes, child_inversions, _slide = sort_state(child.diagram)
-        if not (child_inversions < inversions or child_passes < passes):
-            raise InternalInvariantError("sorting step made no progress")
+        found = sort_state(child.diagram)[1]
+        if found != inversions - 1:
+            raise InternalInvariantError(f"sorting step made no progress: {inversions} -> {found} inversions")
     return children

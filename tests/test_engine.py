@@ -1,5 +1,6 @@
 """End-to-end pipeline values, deduplication, and the CLI surface."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -197,6 +198,16 @@ def test_stats_and_trace(tmp_path, two_crossing):
     assert lines[-1]["polynomial"] == out.text()
 
 
+def test_trace_is_pinned(tmp_path):
+    """The trace of the ``traced`` workload's diagram, record for record:
+    the order of expansions and every field of every record."""
+    trace_file = tmp_path / "trace.jsonl"
+    run_pipeline(random_diagram(172, 2, 3), trace_path=str(trace_file))
+    data = trace_file.read_bytes()
+    assert data.count(b"\n") == 1021
+    assert hashlib.sha256(data).hexdigest() == "9f34a4f7f8dea76b33312244f6d2603ea535aa62c26bb71a898a65b9afc2e932"
+
+
 # ---------------------------------------------------------------------------
 # the layer rule
 
@@ -370,6 +381,11 @@ def test_cli_usage_errors_exit_1(tmp_path):
         ["--max-steps", "-1"],
     ):
         r = run_cli("resolve", str(f), *extra)
+        assert r.returncode == 1, extra
+        assert "usage:" in r.stderr
+    # counts that would make fuzz check nothing
+    for extra in (["--count", "-5"], ["--count", "1", "--max-crossings", "-1"]):
+        r = run_cli("fuzz", *extra)
         assert r.returncode == 1, extra
         assert "usage:" in r.stderr
     assert run_cli("--help").returncode == 0

@@ -126,6 +126,18 @@ def test_progress_monitor_fires(monkeypatch):
         sort_step(term(d))
 
 
+def test_progress_monitor_wants_exactly_one_inversion_fewer(monkeypatch):
+    """Sliding the lowest behind pass (height 1) past the front pass at 5,
+    instead of its neighbour in height 3, still lowers the inversions, but
+    by two: the monitor refuses it."""
+    d = parse({"components": [{"E": ["O1", "U1", "O1", "U1"], "I": [5, 1, 6, 3], "Q": [3, 4, 3, 4]}], "U": {}})
+    assert sort_state(d) == (4, 4, (1, 3, 5))
+    real = sorter.induce_crossings
+    monkeypatch.setattr(sorter, "induce_crossings", lambda t, a, c: real(t, 1, c))
+    with pytest.raises(InternalInvariantError, match="made no progress"):
+        sort_step(term(d))
+
+
 def test_sort_expression_structure():
     d = parse({"components": [{"E": ["O1", "U1", "O1", "U1"], "I": [1, 2, 3, 4], "Q": [3, 4, 3, 4]}], "U": {}})
     out = sort_expression([term(d)])
