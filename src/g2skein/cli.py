@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 unparseable or invalid input or a usage error,
-2 internal invariant violation (including fuzz counterexamples), 3
-expansion budget (``--max-steps``) exceeded.
+Exit codes: 0 success, 1 unreadable or invalid input, an unwritable
+file or a usage error, 2 internal invariant violation (including fuzz
+counterexamples), 3 expansion budget (``--max-steps``) exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -28,7 +29,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SkeinFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -40,7 +41,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
     d = parse_diagram(_read(args.file))
-    poly = engine.run_pipeline(d, max_steps=args.max_steps, trace_path=args.trace)
+    with open(args.trace, "w", encoding="utf-8") if args.trace is not None else contextlib.nullcontext() as fh:
+        emit = (lambda record: fh.write(json.dumps(record) + "\n")) if fh else None
+        poly = engine.run_pipeline(d, max_steps=args.max_steps, emit=emit)
     if args.output == "json":
         print(json.dumps(poly.to_json_obj()))
     else:
@@ -66,8 +69,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         if failure is not None:
             failure["seed"] = seed
             path = f"repro-{seed}.json"
-            oracle.write_repro(path, d, failure)
-            print(f"FAIL seed {seed}: {failure['property']} (repro written to {path})")
+            print(f"FAIL seed {seed}: {failure['property']} (repro file {path})")
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(oracle.repro_text(d, failure))
+            except OSError as exc:
+                print(f"error: cannot write {path}: {exc}", file=sys.stderr)
             return 2
         checked += 1
     print(f"{checked} diagrams checked, 0 failures")
@@ -142,7 +149,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (SkeinFormatError, SkeinValidationError) as exc:
+    except (SkeinFormatError, SkeinValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StepLimitExceeded as exc:

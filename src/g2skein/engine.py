@@ -13,7 +13,7 @@ the memo is keyed by ``dedup_key`` and lives for one ``run_pipeline``
 call, so diamonds in the rewriting graph and repeated smoothings cost a
 lookup.  A pending node is one stack frame holding its key, its diagram
 until it expands, and then its expansion until it is valued.  The walk
-is also the only place that writes trace records, spends the expansion
+is also the only place that emits trace records, spends the expansion
 budget and counts work.
 
 Why the layer rule is sound.  The genus-2 handlebody is P x I, with P
@@ -38,8 +38,6 @@ so it is a group of its own.
 
 from __future__ import annotations
 
-import contextlib
-import json
 import time
 from typing import Callable, Optional
 
@@ -229,28 +227,26 @@ def run_pipeline(
     d: SkeinDiagram,
     *,
     max_steps: Optional[int] = None,
-    trace_path: Optional[str] = None,
+    emit: Optional[Callable[[dict], None]] = None,
     stats: Optional[dict] = None,
 ) -> SkeinPolynomial:
     """Resolve a validated diagram all the way to a basis polynomial.
 
     ``max_steps`` caps the expansions of the run, crossing, sort and
-    layer split alike (None: no cap), ``trace_path`` receives
-    one JSON record per expansion, and ``stats`` is filled with the
-    walk's counters and the run's seconds.
+    layer split alike (None: no cap), ``emit`` is called with one trace
+    record per expansion, between a ``start`` and a ``done`` record, and
+    ``stats`` is filled with the walk's counters and the run's seconds.
     """
     violations = validate(d)
     if violations:
         raise SkeinValidationError(violations)
 
     started = time.perf_counter()
-    with open(trace_path, "w", encoding="utf-8") if trace_path else contextlib.nullcontext() as fh:
-        emit = (lambda record: fh.write(json.dumps(record) + "\n")) if fh else None
-        if emit:
-            emit({"stage": "start", "crossings": len(d.sign_pairs)})
-        poly = _basis_value(d, max_steps, emit, stats)
-        if stats is not None:
-            stats["seconds"] = time.perf_counter() - started
-        if emit:
-            emit({"stage": "done", "polynomial": poly.text()})
+    if emit is not None:
+        emit({"stage": "start", "crossings": len(d.sign_pairs)})
+    poly = _basis_value(d, max_steps, emit, stats)
+    if stats is not None:
+        stats["seconds"] = time.perf_counter() - started
+    if emit is not None:
+        emit({"stage": "done", "polynomial": poly.text()})
     return poly

@@ -55,7 +55,7 @@ __all__ = [
     "check_confluence",
     "check_encoding_invariance",
     "check_framing",
-    "write_repro",
+    "repro_text",
 ]
 
 _NEXT_REGION = {"L": ["M"], "R": ["M"], "M": ["L", "R"]}
@@ -339,12 +339,8 @@ def check_framing(d: SkeinDiagram) -> Optional[dict]:
     return _first_failure("framing", engine.run_pipeline, cases)
 
 
-def write_repro(path: str, d: SkeinDiagram, info: dict) -> None:
-    """Persist a failing case as a parseable document with a comment header."""
+def repro_text(d: SkeinDiagram, info: dict) -> str:
+    """A failing case as a parseable document with a comment header."""
     lines = [f"# failed property: {info.get('property', 'unknown')}"]
-    for key in sorted(info):
-        if key != "property":
-            lines.append(f"# {key}: {info[key]}")
-    lines.append(serialize_diagram(d))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [f"# {key}: {info[key]}" for key in sorted(info) if key != "property"]
+    return "\n".join(lines + [serialize_diagram(d)]) + "\n"

@@ -122,7 +122,7 @@ def test_a7_encoding_invariance():
     print(f"\nA7 PASS: rotation, reversal, height relabeling, and component order never change the value ({elapsed:.1f}s)")
 
 
-def test_a8_dedup_soundness_and_performance(tmp_path):
+def test_a8_dedup_soundness_and_performance():
     # the memoized walk against the naive reference: every smoothing and
     # every sort step, merging only exactly equal diagrams between
     # rounds; no canonical key, no memo, no layer split
@@ -136,7 +136,7 @@ def test_a8_dedup_soundness_and_performance(tmp_path):
     plain = run_pipeline(big)
     plain_time = time.perf_counter() - start
     assert plain_time < 5.0
-    traced = run_pipeline(big, trace_path=str(tmp_path / "trace.jsonl"), max_steps=10_000_000)
+    traced = run_pipeline(big, emit=[].append, max_steps=10_000_000)
     assert traced.text() == plain.text()
     print(
         "\nA8 PASS: the memoized walk matches the naive reference on 200 diagrams; "

@@ -1,6 +1,7 @@
 """End-to-end pipeline values, deduplication, and the CLI surface."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import g2skein
-from g2skein import Term, cli, parse_diagram, serialize_diagram
+from g2skein import Term, cli, engine, parse_diagram, serialize_diagram
 from g2skein.diagram import (
     SkeinDiagram,
     dedup_key,
@@ -129,12 +130,14 @@ def test_resolution_order_does_not_change_value(two_crossing):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_staged_path_agrees_with_fast_path(seed, tmp_path):
-    """A run that records every stage to a trace under a step budget
+def test_staged_path_agrees_with_fast_path(seed):
+    """A run that emits every stage as a trace record under a step budget
     prints byte-identical output to a plain run."""
     d = random_diagram(seed, max_components=2, max_self_crossings=2)
     plain = run_pipeline(d)
-    traced = run_pipeline(d, max_steps=10_000, trace_path=str(tmp_path / "t.jsonl"))
+    records = []
+    traced = run_pipeline(d, max_steps=10_000, emit=records.append)
+    assert records[-1] == {"stage": "done", "polynomial": plain.text()}
     assert traced.text() == plain.text()
     assert json.dumps(traced.to_json_obj()) == json.dumps(plain.to_json_obj())
 
@@ -174,10 +177,9 @@ def test_invalid_diagram_rejected(y_neg):
         run_pipeline(broken)
 
 
-def test_stats_and_trace(tmp_path, two_crossing):
-    stats = {}
-    trace_file = tmp_path / "trace.jsonl"
-    out = run_pipeline(two_crossing, trace_path=str(trace_file), stats=stats)
+def test_stats_and_trace(two_crossing):
+    stats, lines = {}, []
+    out = run_pipeline(two_crossing, emit=lines.append, stats=stats)
     assert out.text() == "(1 + -1*t^4)*x*z^2 + (-1*t^-4)*x + (-1*t^6)*y*z"
     assert stats.pop("seconds") >= 0
     assert stats == {
@@ -187,7 +189,6 @@ def test_stats_and_trace(tmp_path, two_crossing):
         "layer_splits": 5,
         "leaves": 20,
     }
-    lines = [json.loads(l) for l in trace_file.read_text().splitlines()]
     stages = [l["stage"] for l in lines]
     assert stages[0] == "start" and stages[-1] == "done"
     assert stages.count("resolve") == stats["crossing_expansions"]
@@ -199,10 +200,12 @@ def test_stats_and_trace(tmp_path, two_crossing):
 
 
 def test_trace_is_pinned(tmp_path):
-    """The trace of the ``traced`` workload's diagram, record for record:
-    the order of expansions and every field of every record."""
-    trace_file = tmp_path / "trace.jsonl"
-    run_pipeline(random_diagram(172, 2, 3), trace_path=str(trace_file))
+    """The ``g2skein resolve --trace`` file of the ``traced`` workload's
+    diagram, byte for byte: the order of expansions, every field of every
+    record and the line format."""
+    doc, trace_file = tmp_path / "d.json", tmp_path / "trace.jsonl"
+    doc.write_text(serialize_diagram(random_diagram(172, 2, 3)))
+    assert cli.main(["resolve", str(doc), "--trace", str(trace_file)]) == 0
     data = trace_file.read_bytes()
     assert data.count(b"\n") == 1021
     assert hashlib.sha256(data).hexdigest() == "9f34a4f7f8dea76b33312244f6d2603ea535aa62c26bb71a898a65b9afc2e932"
@@ -307,6 +310,53 @@ def test_cli_validate_rejects(tmp_path):
     r = run_cli("resolve", str(f))
     assert r.returncode == 1
     assert r.stderr.strip() == "error: self-crossing 1 branches lie in regions M and R"
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("validate", b"\x7fELF\x02\x01\x01\x00\xff\x00"),
+        ("resolve", b"\xff\xfe" + doc_text(UNKNOT_DOC).encode("utf-16-le")),
+    ],
+    ids=["validate-binary", "resolve-utf16"],
+)
+def test_cli_undecodable_input_exits_1(tmp_path, command, data):
+    """Input that is not UTF-8 is unreadable input, reported like a
+    missing file."""
+    f = tmp_path / "d.json"
+    f.write_bytes(data)
+    r = run_cli(command, str(f))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: cannot read {f}: "), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_cli_unwritable_trace_exits_1_before_the_walk(tmp_path, monkeypatch, capsys):
+    """A ``--trace`` path in a missing directory, naming a directory, or
+    empty is an error of the command line: exit 1, and the walk never
+    starts."""
+    f = tmp_path / "d.json"
+    f.write_text(doc_text(TWO_CROSSING_DOC))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(engine, "_basis_value", no_walk)
+    for trace in (tmp_path / "missing" / "t.jsonl", tmp_path, ""):
+        assert cli.main(["resolve", str(f), "--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), err
+
+
+def test_console_script_is_cli_main():
+    """The ``g2skein`` command that installing the package makes calls
+    ``cli.main``."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"g2skein": "g2skein.cli:main"}
+    module, attr = scripts["g2skein"].split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_cli_resolve_text(tmp_path):

@@ -1,16 +1,21 @@
-"""Byte-identical output on a fixed set of 220 diagrams.
+"""Byte-identical output and unchanged work on a fixed set of 220 diagrams.
 
 ``golden_values.txt`` holds one line per input: its name, a tab, and the
-polynomial's text form.  The inputs are the fixture documents, the
+polynomial's text form.  ``golden_counters.txt`` holds, from the same
+runs, the input's name, a tab, and the walk's counters as ``name=count``
+fields: ``nodes``, ``crossing_expansions``, ``sort_expansions``,
+``layer_splits`` and ``leaves``.  The inputs are the fixture documents, the
 benchmark's braid closure, ``random_diagram(s, 2, 3)`` for s < 150 and
 s = 172, ``random_diagram(s, 2, 2)`` for s < 60, and
 ``random_diagram_with_crossings(11, 10, 10)``.  A refactor that changes
-any value, or the way one is printed, fails here.
+any value, or the way one is printed, fails here; one that moves work
+between the walk's rules, or adds or saves some, fails the counter check.
 
-``PYTHONPATH=src python tests/test_golden_values.py`` prints the current
-values in the same form.
+``PYTHONPATH=src python tests/test_golden_values.py`` rewrites both files
+from the current code.
 """
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,6 +31,8 @@ import oracles  # noqa: E402
 import workloads  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden_values.txt"
+COUNTERS = GOLDEN.with_name("golden_counters.txt")
+COUNTER_NAMES = ("nodes", "crossing_expansions", "sort_expansions", "layer_splits", "leaves")
 
 
 def inputs():
@@ -41,18 +48,33 @@ def inputs():
     yield "random_diagram_with_crossings(11,10,10)", random_diagram_with_crossings(11, 10, 10)
 
 
+@functools.cache
 def current_lines():
-    return [f"{name}\t{run_pipeline(d).text()}" for name, d in inputs()]
+    """The value lines and the counter lines, from one run per input."""
+    values, counters = [], []
+    for name, d in inputs():
+        stats = {}
+        values.append(f"{name}\t{run_pipeline(d, stats=stats).text()}")
+        counters.append(f"{name}\t" + " ".join(f"{k}={stats[k]}" for k in COUNTER_NAMES))
+    return values, counters
 
 
-def test_golden_values():
-    expected = GOLDEN.read_text(encoding="utf-8").splitlines()
-    got = current_lines()
+def assert_lines_match(path, got, what):
+    expected = path.read_text(encoding="utf-8").splitlines()
     assert len(expected) == 220
     mismatched = [(e, g) for e, g in zip(expected, got) if e != g]
-    assert not mismatched, f"{len(mismatched)} values changed, first: {mismatched[0]}"
+    assert not mismatched, f"{len(mismatched)} {what} changed, first: {mismatched[0]}"
     assert len(got) == len(expected)
 
 
+def test_golden_values():
+    assert_lines_match(GOLDEN, current_lines()[0], "values")
+
+
+def test_golden_counters():
+    assert_lines_match(COUNTERS, current_lines()[1], "counter lines")
+
+
 if __name__ == "__main__":
-    print("\n".join(current_lines()))
+    for path, lines in zip((GOLDEN, COUNTERS), current_lines()):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")

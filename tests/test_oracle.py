@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from g2skein import Term, engine, parse_diagram, serialize_diagram, validate
+from g2skein import Term, engine, oracle, parse_diagram, serialize_diagram, validate
 from g2skein.cli import main
 from g2skein.diagram import pass_token
 from g2skein.laurent import LaurentPoly
@@ -22,7 +22,7 @@ from g2skein.oracle import (
     check_framing,
     random_diagram,
     random_diagram_with_crossings,
-    write_repro,
+    repro_text,
 )
 from g2skein.sorter import sort_state, sort_step
 
@@ -158,12 +158,8 @@ def test_framing_check_passes_on_generated_diagrams():
         assert check_framing(d) is None, f"seed {seed}"
 
 
-def test_write_repro_round_trips(tmp_path, two_crossing):
-    from g2skein import parse_diagram
-
-    path = tmp_path / "repro-7.json"
-    write_repro(str(path), two_crossing, {"property": "confluence", "seed": 7})
-    text = path.read_text()
+def test_repro_text_round_trips(two_crossing):
+    text = repro_text(two_crossing, {"property": "confluence", "seed": 7})
     assert text.startswith("# failed property: confluence")
     assert "# seed: 7" in text
     parsed = parse_diagram(text)
@@ -212,3 +208,15 @@ def test_checks_report_a_perturbed_value(check, prop, flag, target, monkeypatch,
         assert f"# {field}: " in text
     parsed = parse_diagram(text)
     assert serialize_diagram(parsed) == serialize_diagram(random_diagram(FAILING_SEED))
+
+
+def test_fuzz_failure_without_a_repro_file_exits_2(monkeypatch, tmp_path, capsys):
+    """A counterexample whose repro file cannot be written still fails the
+    run with exit 2; the write error goes to stderr."""
+    monkeypatch.setattr(oracle, "check_framing", lambda d: {"property": "framing", "case": "stub"})
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"repro-{FAILING_SEED}.json").mkdir()
+    assert main(["fuzz", "--seed", str(FAILING_SEED), "--count", "1", "--check", "framing"]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith(f"FAIL seed {FAILING_SEED}: framing")
+    assert err.startswith(f"error: cannot write repro-{FAILING_SEED}.json: "), err
