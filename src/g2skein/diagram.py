@@ -30,7 +30,11 @@ crossing branch lies in the region its component's previous strand
 pass entered, and both branches of a crossing lie in one region.
 
 ``dedup_key`` names a diagram up to re-encoding, starting each
-component at its lowest entry, so no rotation is searched for.
+component at its lowest entry, so no rotation is searched for.  Its
+text is, per component, codes k as chr(k + 2R + 3) (R crossings) and
+ranks i as chr(i), each run ended by "\0", so siblings in the walk
+(same R, same heights) order as (codes, ranks) tuples.  Past 0x10FFFF
+values take two digits each, after a "\1" no one-digit text starts with.
 
 The table ``U`` maps each self-crossing id to its sign.  Text form is a
 small JSON document; see ``parse_diagram``.
@@ -347,17 +351,27 @@ def renumber_crossings(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiag
 # ---------------------------------------------------------------------------
 # canonical key
 
-def height_ranks(d: SkeinDiagram) -> dict[int, int]:
-    """Each height's rank among the diagram's heights, cached on ``d``."""
+_BASE = 0x10FFFF  # the largest code point, and the base of two-digit values
+
+
+def _digits(d: SkeinDiagram, n_heights: int):
+    """``chr``, or two digits a value once a rank or code (2R + 10) passes _BASE."""
+    if max(n_heights, 2 * len(d.sign_pairs) + 10) <= _BASE:
+        return chr
+    return lambda v: chr(v // _BASE + 1) + chr(v % _BASE + 1)
+
+
+def height_ranks(d: SkeinDiagram) -> dict[int, str]:
+    """Each height's rank, 1 for the lowest, as the key writes it; cached on ``d``."""
     rank = d._memo.get("rank")
     if rank is None:
         heights = sorted({h for c in d.components for h in c.heights})
-        rank = d._memo["rank"] = {h: i for i, h in enumerate(heights)}
+        rank = d._memo["rank"] = dict(zip(heights, map(_digits(d, len(heights)), range(1, len(heights) + 1))))
     return rank
 
 
 def dedup_key(d: SkeinDiagram) -> tuple:
-    """Totally ordered value naming the diagram's encoding orbit.
+    """Totally ordered value ``(text, signs)`` naming the diagram's encoding orbit.
 
     Two diagrams get equal keys exactly when one re-encodes the other:
     heights relabeled order-preservingly, components rotated or
@@ -371,7 +385,7 @@ def dedup_key(d: SkeinDiagram) -> tuple:
     component starts at its one lowest entry, or at the over branch if
     both branches are lowest.  A crossing-free component runs on toward
     its start's lower neighbour (with at most two entries, the lesser
-    codes win).  Two components have equal rank tuples only when every
+    codes win).  Two components have equal rank runs only when every
     entry is a branch of a crossing they share; their first codes are
     then its under and over branch, so sorting by (ranks, codes) reads
     no crossing id.  Crossings are then numbered by first appearance.
@@ -380,29 +394,30 @@ def dedup_key(d: SkeinDiagram) -> tuple:
     if cached is not None:
         return cached
     rank = height_ranks(d)
-    reversible = not d.sign_pairs
+    digits = _digits(d, len(rank))
+    run = "".join if digits is chr else tuple
     comps = []
     for c in d.components:
-        codes, ranks, m = c.codes, tuple(map(rank.__getitem__, c.heights)), len(c.codes)
+        codes, ranks, m = c.codes, run(map(rank.__getitem__, c.heights)), len(c.codes)
         if m:
             s = ranks.index(min(ranks))
             k = codes[s]
             if k < 0 and k & 1 and k + 1 in codes:
                 s = codes.index(k + 1)
-            if reversible and (ranks[s - 1] < ranks[(s + 1) % m] if m > 2 else k & 1):
+            if not d.sign_pairs and (ranks[s - 1] < ranks[(s + 1) % m] if m > 2 else k & 1):
                 codes = tuple([x ^ 1 for x in codes[s::-1] + codes[:s:-1]])
                 ranks = ranks[s::-1] + ranks[:s:-1]
             else:
                 codes, ranks = codes[s:] + codes[:s], ranks[s:] + ranks[:s]
-        comps.append((codes, ranks))
-    comps.sort(key=lambda item: (item[1], item[0]))
+        comps.append((ranks, codes))
+    comps.sort()
     renumber: dict[int, int] = {}
-    if not reversible:
-        comps = [(tuple([
-            k if k >= 0 else -2 * renumber.setdefault(-k >> 1, len(renumber) + 1) - (k & 1)
-            for k in codes
-        ]), ranks) for codes, ranks in comps]
+    off = 2 * len(d.sign_pairs) + 3
+    text = "".join(["".join([
+        digits(off + (k if k >= 0 else -2 * renumber.setdefault(-k >> 1, len(renumber) + 1) - (k & 1)))
+        for k in codes
+    ]) + "\0" + (ranks if digits is chr else "".join(ranks)) + "\0" for ranks, codes in comps])
     signs = d.signs()
-    key = (tuple(comps), tuple((nid, signs[old]) for old, nid in renumber.items()))
+    key = (text if digits is chr else "\1" + text, tuple([(nid, signs[old]) for old, nid in renumber.items()]))
     d._memo["key"] = key
     return key

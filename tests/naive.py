@@ -3,7 +3,8 @@
 Every smoothing and every sort step, built on ``resolve_crossing`` and
 a slide and a sort state written here entry by entry: no canonical key,
 no memo, no layer split, and none of the sorter's own code.  And an
-orbit key found by trying every re-encoding, for the canonical key.
+orbit key found by trying every re-encoding, for the canonical key, and
+the canonical key built of nested tuples, for the text key's order.
 """
 
 from itertools import permutations, product
@@ -168,3 +169,38 @@ def naive_key(d: SkeinDiagram) -> tuple:
             if best is None or candidate < best:
                 best = candidate
     return best
+
+
+def tuple_key(d: SkeinDiagram) -> tuple:
+    """``dedup_key`` as nested tuples: ``((codes, ranks), ...)`` with
+    integer codes and ranks, then the renumbered sign pairs.
+
+    The same choices as ``dedup_key``, kept uncached and with integer
+    ranks, so that the text key can be checked to split diagrams into
+    the same classes and to order siblings the same way.
+    """
+    rank = {h: i for i, h in enumerate(sorted({h for c in d.components for h in c.heights}))}
+    reversible = not d.sign_pairs
+    comps = []
+    for c in d.components:
+        codes, ranks, m = c.codes, tuple(map(rank.__getitem__, c.heights)), len(c.codes)
+        if m:
+            s = ranks.index(min(ranks))
+            k = codes[s]
+            if k < 0 and k & 1 and k + 1 in codes:
+                s = codes.index(k + 1)
+            if reversible and (ranks[s - 1] < ranks[(s + 1) % m] if m > 2 else k & 1):
+                codes = tuple([x ^ 1 for x in codes[s::-1] + codes[:s:-1]])
+                ranks = ranks[s::-1] + ranks[:s:-1]
+            else:
+                codes, ranks = codes[s:] + codes[:s], ranks[s:] + ranks[:s]
+        comps.append((codes, ranks))
+    comps.sort(key=lambda item: (item[1], item[0]))
+    renumber: dict[int, int] = {}
+    if not reversible:
+        comps = [(tuple([
+            k if k >= 0 else -2 * renumber.setdefault(-k >> 1, len(renumber) + 1) - (k & 1)
+            for k in codes
+        ]), ranks) for codes, ranks in comps]
+    signs = d.signs()
+    return (tuple(comps), tuple((nid, signs[old]) for old, nid in renumber.items()))

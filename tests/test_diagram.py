@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from g2skein import engine
+from g2skein import cli, diagram, engine
 
 from g2skein import (
     SkeinFormatError,
@@ -27,10 +27,10 @@ from g2skein.diagram import (
     reverse_component,
     rotate_component,
 )
-from g2skein.oracle import random_diagram
+from g2skein.oracle import random_diagram, random_diagram_with_crossings
 
 from conftest import TWO_COMPONENT_DOC, TWO_CROSSING_DOC, doc_text
-from naive import naive_key
+from naive import naive_key, tuple_key
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import oracles  # noqa: E402
@@ -318,3 +318,95 @@ def test_dedup_key_partition_matches_brute_force(monkeypatch):
     pairs = {(dedup_key(d), naive_key(d)) for d in ds}
     assert len({k for k, _ in pairs}) == len({n for _, n in pairs}) == len(pairs)
     assert len(pairs) < len(ds) / 3
+
+
+def walk_keys(inputs, monkeypatch):
+    """The diagrams the walk keys on ``inputs``, and the inner children
+    of each crossing or sort expansion, by spying on ``engine``."""
+    keyed, siblings = [], []
+    dedup = engine.dedup
+
+    def key_spy(d):
+        keyed.append(d)
+        return dedup_key(d)
+
+    def dedup_spy(e):
+        siblings.append([t.diagram for t in e])
+        return dedup(e)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "dedup_key", key_spy)
+        m.setattr(engine, "dedup", dedup_spy)
+        for d in inputs:
+            engine.run_pipeline(d)
+    return keyed, siblings
+
+
+@pytest.mark.parametrize("base", [diagram._BASE, 24], ids=["one-digit", "base-24"])
+def test_text_key_partitions_and_orders_as_tuple_key(monkeypatch, base):
+    """The text key splits every diagram the walk keys into the same
+    classes as the tuple key it replaced (``naive.tuple_key``), and
+    sorts the inner children of every expansion in the same order.
+    With a base of 24 the keys of diagrams with more than 24 heights or
+    with 8 crossings or more take two digits a value, and the rest one."""
+    monkeypatch.setattr(diagram, "_BASE", base)
+    inputs = [random_diagram(s, 2, 3) for s in range(150)] + [random_diagram_with_crossings(11, 10, 10)]
+    keyed, siblings = walk_keys(inputs, monkeypatch)
+    pairs = {(dedup_key(d), tuple_key(d)) for d in keyed}
+    assert len({k for k, _ in pairs}) == len({t for _, t in pairs}) == len(pairs) > 3000
+    # a two-digit text is marked by a leading "\1"
+    wide = set()
+    for d in keyed:
+        text = dedup_key(d)[0]
+        wide.add(text[:1] == "\1")
+        if text[:1] == "\1":
+            assert len(text) == 1 + sum(4 * len(c) + 2 for c in d.components)
+    assert wide == ({False, True} if base == 24 else {False})
+    assert sum(len(g) > 1 for g in siblings) > 2000
+    for g in siblings:
+        by_text = sorted(range(len(g)), key=lambda i: dedup_key(g[i]))
+        assert by_text == sorted(range(len(g)), key=lambda i: tuple_key(g[i]))
+
+
+def test_key_length_is_one_character_a_code_and_a_rank(monkeypatch):
+    """On ``crossings-10`` every key's text has one character per code,
+    one per rank and two run ends per component, on any Python."""
+    keyed, _ = walk_keys([random_diagram_with_crossings(11, 10, 10)], monkeypatch)
+    assert len(keyed) > 3000
+    for d in keyed:
+        assert len(dedup_key(d)[0]) == sum(2 * len(c) + 2 for c in d.components)
+
+
+def kink_chain(n):
+    """One component of n kinks, each the two branches of one crossing
+    at its own height."""
+    codes = tuple(k for cid in range(1, n + 1) for k in (-2 * cid, -2 * cid - 1))
+    heights = tuple(h for h in range(1, n + 1) for _ in (0, 1))
+    return SkeinDiagram.make([Component(codes, heights)], {cid: 1 for cid in range(1, n + 1)})
+
+
+def many_heights(n):
+    """A curve passing in front of strand 1 n times, back and forth,
+    each pass at its own height, and a two-kink chain above it."""
+    passes = Component((0, 1) * (n // 2), tuple(range(1, n + 1)))
+    kinks = Component((-2, -3, -4, -5), (n + 1, n + 1, n + 2, n + 2))
+    return SkeinDiagram.make([passes, kinks], {1: 1, 2: -1})
+
+
+@pytest.mark.parametrize("build, n", [(kink_chain, 8200), (many_heights, 70000)], ids=["crossings", "heights"])
+def test_key_of_large_diagrams(build, n):
+    """8,200 crossings (codes down to -16,401) and 70,000 heights (ranks
+    past 0xFFFF) still take one character a value, and a re-encoding
+    gets the same key."""
+    d = build(n)
+    assert validate(d) == []
+    key = dedup_key(d)
+    assert len(key[0]) == sum(2 * len(c) + 2 for c in d.components)
+    assert dedup_key(reencode(d, random.Random(3))) == key
+
+
+def test_resolve_8200_kinks_hits_the_step_budget(tmp_path, capsys):
+    f = tmp_path / "kinks.json"
+    f.write_text(serialize_diagram(kink_chain(8200)))
+    assert cli.main(["resolve", str(f), "--max-steps", "0"]) == 3
+    assert "more than 0 expansions" in capsys.readouterr().err
