@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 unreadable or invalid input, an unwritable
-file or a usage error, 2 internal invariant violation (including fuzz
-counterexamples), 3 expansion budget (``--max-steps``) exceeded.
+file or a usage error, 2 a bug (any other exception, or a fuzz
+counterexample), 3 expansion budget (``--max-steps``) exceeded.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from . import __version__, engine, oracle
@@ -97,6 +98,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     poly = engine.run_pipeline(d, stats=stats)
     print(f"crossings: {args.crossings}")
     print(f"nodes valued: {stats['nodes']}")
+    print(f"distinct values: {stats['values']}")
     print(f"crossing expansions: {stats['crossing_expansions']}")
     print(f"sort expansions: {stats['sort_expansions']}")
     print(f"layer splits: {stats['layer_splits']}")
@@ -155,8 +157,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except StepLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,10 +11,11 @@ classifier call and never keys them, since classifying costs less than
 keying.  Every other node, the root included, is valued once per run:
 the memo is keyed by ``dedup_key`` and lives for one ``run_pipeline``
 call, so diamonds in the rewriting graph and repeated smoothings cost a
-lookup.  A pending node is one stack frame holding its key, its diagram
-until it expands, and then its expansion until it is valued.  The walk
-is also the only place that emits trace records, spends the expansion
-budget and counts work.
+lookup, and equal values are one object, so the memo's memory is mostly
+its keys.  A pending node is one stack frame holding its key, its
+diagram until it expands, and then its expansion until it is valued.
+The walk is also the only place that emits trace records, spends the
+expansion budget and counts work.
 
 Why the layer rule is sound.  The genus-2 handlebody is P x I, with P
 the disk minus the two base strands and I the height axis of the
@@ -153,17 +154,19 @@ def _basis_value(
     in the memo.  ``max_steps`` caps the expansions of the run, of all
     three rules together.  ``memo`` maps keys to values already known;
     it is empty unless the caller passes one.  ``stats`` gets ``nodes``
-    (keyed nodes, the root included), ``leaves`` (sorted children) and
-    the expansions per rule.
+    (keyed nodes, the root included), ``values`` (distinct values, one
+    object each), ``leaves`` (sorted children) and the expansions per rule.
     """
 
     one = LaurentPoly.one()
     if memo is None:
         memo = {}
+    shared: dict[SkeinPolynomial, SkeinPolynomial] = {}
     root = dedup_key(d0)
     # a sorted root is a leaf, and no rule expands a leaf
     if root not in memo and not d0.sign_pairs and not sorter.sort_state(d0)[1]:
-        memo[root] = classifier.evaluate([Term(one, d0)])
+        total = classifier.evaluate([Term(one, d0)])
+        memo[root] = shared.setdefault(total, total)
     counts: dict[str, int] = {}
     n_leaves = 0
     stack = [[root, d0, None]]
@@ -210,11 +213,12 @@ def _basis_value(
             for coeff, ck in edges:
                 memo[ck].scale_into(sums, coeff)
             total = SkeinPolynomial.collect(sums)
-        memo[key] = total
+        memo[key] = shared.setdefault(total, total)
         stack.pop()
     if stats is not None:
         stats.update(
             nodes=len(memo),
+            values=len(shared),
             crossing_expansions=counts.get("resolve", 0),
             sort_expansions=counts.get("sort", 0),
             layer_splits=counts.get("split", 0),

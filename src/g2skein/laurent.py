@@ -149,8 +149,8 @@ class SkeinPolynomial:
     Treated as immutable: every operation returns a fresh object.  The
     nonzero (monomial, coefficient) pairs are kept in one tuple, highest
     monomial first: the rendering order, so equal polynomials hold equal
-    tuples, and a memoized value costs less than with a dict.  Sums go
-    into one ``{monomial: {exponent: coefficient}}`` dict
+    tuples and hash alike, and a memoized value costs less than with a
+    dict.  Sums go into one ``{monomial: {exponent: coefficient}}`` dict
     (``scale_into``), made a polynomial once (``collect``).
     """
 
@@ -211,6 +211,9 @@ class SkeinPolynomial:
         if not isinstance(other, SkeinPolynomial):
             return NotImplemented
         return self._entries == other._entries
+
+    def __hash__(self) -> int:
+        return hash(self._entries)
 
     def text(self) -> str:
         """Canonical rendering, e.g. ``(-1*t^-2)*x*z + (-1*t^-4)*y``."""

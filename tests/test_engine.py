@@ -108,12 +108,25 @@ def test_two_crossing_fixture_value(two_crossing):
     )
 
 
+TWO_COMPONENT_VALUE = (
+    "(1*t)*x^3*z^2 + (-1*t)*x^3 + (1*t^-1)*x^2*y*z"
+    " + (-1*t^-3 + 1*t + -2*t^5)*x*z^2 + (1*t + 1*t^5)*x"
+    " + (-1*t^-5 + -1*t^7)*y*z"
+)
+
+
 def test_two_component_fixture_value(two_component):
-    assert run_pipeline(two_component).text() == (
-        "(1*t)*x^3*z^2 + (-1*t)*x^3 + (1*t^-1)*x^2*y*z"
-        " + (-1*t^-3 + 1*t + -2*t^5)*x*z^2 + (1*t + 1*t^5)*x"
-        " + (-1*t^-5 + -1*t^7)*y*z"
-    )
+    assert run_pipeline(two_component).text() == TWO_COMPONENT_VALUE
+
+
+def test_equal_values_are_one_object(two_component):
+    """The memo maps its 1,341 keys to one object per distinct value, and
+    sharing them changes no value."""
+    memo = {}
+    value = engine._basis_value(two_component, memo=memo)
+    assert value.text() == TWO_COMPONENT_VALUE
+    assert len(memo) == 1341
+    assert len({id(v) for v in memo.values()}) == len(set(memo.values())) == 86
 
 
 def test_resolution_order_does_not_change_value(two_crossing):
@@ -184,6 +197,7 @@ def test_stats_and_trace(two_crossing):
     assert stats.pop("seconds") >= 0
     assert stats == {
         "nodes": 15,
+        "values": 13,
         "crossing_expansions": 3,
         "sort_expansions": 7,
         "layer_splits": 5,
@@ -348,6 +362,22 @@ def test_cli_unwritable_trace_exits_1_before_the_walk(tmp_path, monkeypatch, cap
         assert out == "" and err.startswith("error: "), err
 
 
+def test_cli_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
+    """Any exception the CLI does not expect is a bug: exit 2, the status
+    kept for bugs, never 1, the status of bad input."""
+    f = tmp_path / "d.json"
+    f.write_text(doc_text(TWO_CROSSING_DOC))
+
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(engine, "run_pipeline", broken)
+    assert cli.main(["resolve", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "internal error: KeyError: 'lost'"
+
+
 def test_console_script_is_cli_main():
     """The ``g2skein`` command that installing the package makes calls
     ``cli.main``."""
@@ -481,6 +511,7 @@ def test_cli_bench_runs(tmp_path):
     assert "sort expansions" in r.stdout
     assert "layer splits" in r.stdout
     assert "leaves valued" in r.stdout
+    assert "distinct values" in r.stdout
 
 
 def test_cli_bench_rejects_unusable_counts(tmp_path):

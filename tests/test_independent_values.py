@@ -6,8 +6,9 @@ reads the diagram as its JSON document and the pipeline's JSON output,
 and does its own arithmetic on plain ints:
 
 * the t = -1 SL2 trace identity (Bullock 1997) on every fixture, on
-  150 generated diagrams and on the 8- and 10-crossing diagrams of the
-  acceptance check A8 and the benchmark's ``crossings-10`` workload;
+  the 500 generated diagrams of the acceptance check A5, and on the 8-
+  and 10-crossing diagrams of the acceptance check A8 and the
+  benchmark's ``crossings-10`` workload;
 * the Temperley-Lieb state sum (Kauffman 1987) on closures of random
   3- and 4-strand braids;
 * the annular state sum at generic t (``annular``, kept under ``tests/``)
@@ -49,7 +50,7 @@ def test_trace_identity_on_fixtures(name):
 
 
 def test_trace_identity_on_generated_diagrams():
-    for seed in range(150):
+    for seed in range(500):
         doc = json.loads(serialize_diagram(random_diagram(seed, 2, 3)))
         failure = oracles.trace_identity_failure(doc, value_obj(doc), PAIRS)
         assert failure is None, f"seed {seed}: {failure}"

@@ -4,7 +4,8 @@ Laws checked by property:
   * LaurentPoly is a commutative ring (assoc/comm/distributive, 0 and 1)
   * shift(k) agrees with multiplication by t^k
   * BasisMonomial multiplication adds exponents componentwise
-  * SkeinPolynomial accumulate is order-independent
+  * SkeinPolynomial accumulate is order-independent, and equal results
+    hash alike
 """
 
 from hypothesis import given, strategies as st
@@ -145,3 +146,4 @@ def test_skein_accumulate_order_independent(entries):
     for x, z, e, c in reversed(entries):
         rev = rev.accumulate(BasisMonomial(x=x, z=z), LaurentPoly.monomial(e, c))
     assert fwd == rev
+    assert hash(fwd) == hash(rev)
