@@ -36,8 +36,10 @@ ranks i as chr(i), each run ended by "\0", so siblings in the walk
 (same R, same heights) order as (codes, ranks) tuples.  Past 0x10FFFF
 values take two digits each, after a "\1" no one-digit text starts with.
 
-The table ``U`` maps each self-crossing id to its sign.  Text form is a
-small JSON document; see ``parse_diagram``.
+The table ``U`` maps each self-crossing id to its sign.  An id is
+written in decimal with no sign, space or leading zero, in ``X`` tokens
+and ``U`` keys alike.  Text form is a small JSON document; see
+``parse_diagram``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ _STRAND_PASSES = (
 _STRAND_CODES = {pair: k for k, pair in enumerate(_STRAND_PASSES)}
 # the region each strand code leaves and the one it enters
 _REGIONS = ("LM", "ML", "MR", "RM", "LM", "ML", "MR", "RM")
-_CROSSING_RE = re.compile(r"^X([+-])([1-9][0-9]*)$")
+# the one spelling of a crossing id, in X tokens and U keys alike
+_CROSSING_ID = re.compile(r"[1-9][0-9]*")
 
 
 def crossing_code(cid: int, over: bool) -> int:
@@ -88,9 +91,8 @@ def crossing_code(cid: int, over: bool) -> int:
 def pass_code(token: str, q: int) -> Optional[int]:
     """Pack an ``E`` token and its ``Q`` value into one code; None when
     ``q`` is not a direction code of that token."""
-    m = _CROSSING_RE.match(token)
-    if m:
-        return crossing_code(int(m.group(2)), m.group(1) == "+") if q == 0 else None
+    if token[:2] in ("X+", "X-") and _CROSSING_ID.fullmatch(token, 2):
+        return crossing_code(int(token[2:]), token[1] == "+") if q == 0 else None
     if token not in ("O1", "U1", "O2", "U2"):
         raise SkeinFormatError(f"bad pass token {token!r}")
     return _STRAND_CODES.get((token, q))
@@ -185,11 +187,21 @@ def _component_from_obj(obj: object, index: int) -> Component:
     return Component(tuple(codes), tuple(heights))
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise SkeinFormatError(f"key {key!r} repeated in one object")
+        obj[key] = val
+    return obj
+
+
 def parse_diagram(text: str) -> SkeinDiagram:
     """Parse the JSON document form and validate it.
 
     Lines starting with ``#`` are skipped, so reproduction files with a
-    header comment parse directly.  Raises ``SkeinFormatError`` for
+    header comment parse directly.  A key repeated in one object is
+    unreadable: no value of it is silently kept.  Raises ``SkeinFormatError`` for
     unreadable input and ``SkeinValidationError`` when the parsed
     diagram breaks a structural rule.
     """
@@ -197,7 +209,7 @@ def parse_diagram(text: str) -> SkeinDiagram:
         line for line in text.splitlines() if not line.lstrip().startswith("#")
     )
     try:
-        obj = json.loads(body)
+        obj = json.loads(body, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SkeinFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -211,13 +223,11 @@ def parse_diagram(text: str) -> SkeinDiagram:
         raise SkeinFormatError('"U" must be an object')
     signs: dict[int, int] = {}
     for key, val in u_obj.items():
-        try:
-            cid = int(key)
-        except ValueError:
-            raise SkeinFormatError(f"bad crossing id {key!r} in U") from None
+        if not _CROSSING_ID.fullmatch(key):
+            raise SkeinFormatError(f"bad crossing id {key!r} in U")
         if not isinstance(val, int) or isinstance(val, bool):
             raise SkeinFormatError(f"sign for crossing {key} must be an integer")
-        signs[cid] = val
+        signs[int(key)] = val
     diagram = SkeinDiagram.make(components, signs)
     violations = validate(diagram)
     if violations:

@@ -77,7 +77,7 @@ def resolve_stage(t: Term) -> tuple[list[Term], dict]:
     its trace record.  To expand the crossings in another order,
     renumber them (``diagram.renumber_crossings``)."""
     cid, sign = t.diagram.sign_pairs[0]
-    (l1, j1), (l2, j2) = resolver.locate_crossing(t.diagram, cid)
+    (l1, j1), (l2, j2) = resolver.locate_crossing(t.diagram)
     record = {
         "stage": "resolve",
         "crossing": cid,
@@ -86,7 +86,7 @@ def resolve_stage(t: Term) -> tuple[list[Term], dict]:
         "shift_first": sign,
         "shift_second": -sign,
     }
-    return list(resolver.resolve_crossing(t, cid)), record
+    return list(resolver.resolve_crossing(t)), record
 
 
 def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:

@@ -58,6 +58,10 @@ __all__ = [
     "repro_text",
 ]
 
+# ``check_confluence`` runs every resolution order, r! of them, only up
+# to this many crossings
+CONFLUENCE_MAX_CROSSINGS = 5
+
 _NEXT_REGION = {"L": ["M"], "R": ["M"], "M": ["L", "R"]}
 
 # the front code of the strand pass a region transition makes (see
@@ -219,13 +223,11 @@ def random_diagram(
     return SkeinDiagram.make([loop], {})
 
 
-def random_diagram_with_crossings(
-    seed: int, low: int, high: int, max_components: int = 2
-) -> SkeinDiagram:
-    """Search sub-seeds for a diagram whose crossing count lands in range;
-    ValueError when none of them does."""
+def random_diagram_with_crossings(seed: int, low: int, high: int) -> SkeinDiagram:
+    """Search sub-seeds for a diagram of at most two components whose
+    crossing count lands in range; ValueError when none of them does."""
     for k in range(5000):
-        d = random_diagram(seed * 10007 + k, max_components, high)
+        d = random_diagram(seed * 10007 + k, 2, high)
         if low <= len(d.sign_pairs) <= high:
             return d
     raise ValueError(f"no diagram with {low}..{high} crossings found for seed {seed}")
@@ -261,7 +263,7 @@ def check_confluence(d: SkeinDiagram) -> Optional[dict]:
     expands its crossings anew.
     """
     ids = d.crossing_ids()
-    if len(ids) > 5:
+    if len(ids) > CONFLUENCE_MAX_CROSSINGS:
         raise ValueError("too many crossings for exhaustive order checking")
     memo: dict = {}
 
@@ -280,24 +282,24 @@ def check_confluence(d: SkeinDiagram) -> Optional[dict]:
 
 
 def _variants(d: SkeinDiagram):
-    signs = d.signs()
+    pairs = d.sign_pairs
     for li, c in enumerate(d.components):
         if len(c) > 1:
             # reversing a component's traversal flips the signs of the
             # crossings it shares with other components
-            for name, new, new_signs in (
-                ("rotate+1", rotate_component(c, 1), signs),
-                ("rotate+half", rotate_component(c, len(c) // 2), signs),
-                ("reverse", reverse_component(c), update_signs_on_reversal(signs, c.codes)),
+            for name, new, new_pairs in (
+                ("rotate+1", rotate_component(c, 1), pairs),
+                ("rotate+half", rotate_component(c, len(c) // 2), pairs),
+                ("reverse", reverse_component(c), update_signs_on_reversal(pairs, c.codes)),
             ):
                 comps = d.components[:li] + (new,) + d.components[li + 1:]
-                yield name, SkeinDiagram.make(comps, new_signs)
+                yield name, SkeinDiagram(comps, new_pairs)
     used = {h for c in d.components for h in c.heights if h > 0}
     if used:
         yield "heights*2", relabel_heights(d, {h: 2 * h for h in used})
         yield "heights+7", relabel_heights(d, {h: h + 7 for h in used})
     if len(d.components) > 1:
-        yield "components-reversed", SkeinDiagram.make(d.components[::-1], signs)
+        yield "components-reversed", SkeinDiagram(d.components[::-1], pairs)
 
 
 def check_encoding_invariance(d: SkeinDiagram) -> Optional[dict]:

@@ -20,15 +20,18 @@ positive crossing puts the coefficient t on the split/forward child and
 section changes the sign of every crossing with exactly one branch in
 it; a crossing with both branches or none inside keeps its sign.
 
-``smoothings`` is the one smoothing core: on bare components and a sign
-table it returns each child as (components, signs, exponent of t), so
-the sorter's slide smooths its crossings in a row and builds a term only
-at the end.  ``resolve_crossing`` wraps it for one crossing of a term.
+Every entry point acts on the lowest crossing, the first sign pair: the
+bracket does not depend on the order of smoothing (Kauffman, Topology
+26, 1987), and renumbering (``diagram.renumber_crossings``) picks
+another.  ``smoothings`` is the one smoothing core: on bare components
+and sorted sign pairs it returns each child as (components, sign pairs,
+exponent of t), so the sorter's slide smooths its crossings in a row
+and builds a term only at the end.  ``resolve_crossing`` wraps it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .diagram import Component, SkeinDiagram, Term, crossing_code, reverse_component
 from .errors import InternalInvariantError
@@ -37,8 +40,11 @@ __all__ = ["locate_crossing", "smoothings", "resolve_crossing", "update_signs_on
 
 
 def _branch_spots(
-    comps: Sequence[Component], cid: int
+    comps: Sequence[Component], sign_pairs: Sequence[tuple[int, int]]
 ) -> tuple[tuple[int, int], tuple[int, int]]:
+    if not sign_pairs:
+        raise InternalInvariantError("no crossing to smooth")
+    cid = sign_pairs[0][0]
     hits = []
     for li, c in enumerate(comps):
         for k in (crossing_code(cid, True), crossing_code(cid, False)):
@@ -52,30 +58,29 @@ def _branch_spots(
     return min(hits), max(hits)
 
 
-def locate_crossing(d: SkeinDiagram, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Positions of the two branches as ((l1,j1),(l2,j2)), sorted."""
-    return _branch_spots(d.components, cid)
+def locate_crossing(d: SkeinDiagram) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Positions of the lowest crossing's two branches as ((l1,j1),(l2,j2)), sorted."""
+    return _branch_spots(d.components, d.sign_pairs)
 
 
 def update_signs_on_reversal(
-    signs: Mapping[int, int], reversed_codes: Iterable[int]
-) -> dict[int, int]:
+    sign_pairs: Sequence[tuple[int, int]], reversed_codes: Iterable[int]
+) -> tuple[tuple[int, int], ...]:
     """Negate the sign of every crossing with exactly one branch reversed."""
     inside: dict[int, int] = {}
     for k in reversed_codes:
         if k < 0:
             inside[-k >> 1] = inside.get(-k >> 1, 0) + 1
-    return {
-        cid: -s if inside.get(cid, 0) == 1 else s for cid, s in signs.items()
-    }
+    return tuple([(cid, -s if inside.get(cid, 0) == 1 else s) for cid, s in sign_pairs])
 
 
 def smoothings(
-    comps: tuple[Component, ...], signs: Mapping[int, int], cid: int
-) -> tuple[tuple[tuple, dict, int], tuple[tuple, dict, int]]:
-    """Smooth crossing ``cid``: the (components, signs, exponent) of the
-    split-or-forward child, then of the reversed child."""
-    (l1, j1), (l2, j2) = _branch_spots(comps, cid)
+    comps: tuple[Component, ...], sign_pairs: tuple[tuple[int, int], ...]
+) -> tuple[tuple[tuple, tuple, int], tuple[tuple, tuple, int]]:
+    """Smooth the lowest crossing, ``sign_pairs[0]``: the (components, sign
+    pairs, exponent) of the split-or-forward child, then of the reversed
+    child."""
+    (l1, j1), (l2, j2) = _branch_spots(comps, sign_pairs)
     k, h = comps[l1].codes, comps[l1].heights
     if l1 == l2:
         before, after, rest = comps[:l1], comps[l1 + 1 :], j2 + 1
@@ -94,19 +99,14 @@ def smoothings(
     else:  # merge forward
         first = before + (spliced(section),) + after
     second = before + (spliced(reverse_component(section)),) + after
-    rest_signs = dict(signs)
-    sign = rest_signs.pop(cid)
-    flipped = update_signs_on_reversal(rest_signs, section.codes) if rest_signs else rest_signs
-    return (first, rest_signs, sign), (second, flipped, -sign)
+    sign, others = sign_pairs[0][1], sign_pairs[1:]
+    flipped = update_signs_on_reversal(others, section.codes) if others else others
+    return (first, others, sign), (second, flipped, -sign)
 
 
-def resolve_crossing(t: Term, cid: int) -> tuple[Term, Term]:
-    """Smooth one crossing; returns (split-or-forward, reversed) children."""
-    signs = t.diagram.signs()
-    if cid not in signs:
-        raise InternalInvariantError(f"no such crossing {cid}")
+def resolve_crossing(t: Term) -> tuple[Term, Term]:
+    """Smooth the lowest crossing; returns (split-or-forward, reversed) children."""
     return tuple(
-        Term(t.coeff.shift(exp), SkeinDiagram.make(comps, child_signs))
-        for comps, child_signs, exp in smoothings(t.diagram.components, signs, cid)
+        Term(t.coeff.shift(exp), SkeinDiagram(comps, pairs))
+        for comps, pairs, exp in smoothings(t.diagram.components, t.diagram.sign_pairs)
     )
-

@@ -112,11 +112,11 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
         eps = 1 if comps[la].codes[first] & 1 else -1
         # (component, start, end, branch before, branch after) of a section
         flanks = [(la, first, first + 2, crossing_code(1, first == jc), crossing_code(1, first != jc))]
-        new_signs = {1: eps}
+        new_pairs = ((1, eps),)
         coeff = t.coeff * LaurentPoly.monomial(-3 * eps, -1)
     else:
         eps1 = 1 if ka & 1 == kc & 1 else -1
-        new_signs = {1: eps1, 2: -eps1}
+        new_pairs = ((1, eps1), (2, -eps1))
         flanks = []
         for li, j, k, over in ((la, ja, ka, False), (lc, jc, kc, True)):
             # going right to left, crossing 2 comes before the pass
@@ -132,7 +132,7 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
             codes[:start] + (before,) + codes[start:end] + (after,) + codes[end:],
             hs[:start] + (0,) + tuple([swap[h] for h in hs[start:end]]) + (0,) + hs[end:],
         )
-    return Term(coeff, SkeinDiagram.make(comps, new_signs))
+    return Term(coeff, SkeinDiagram(tuple(comps), new_pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
 def sort_step(t: Term) -> Optional[list[Term]]:
     """One slide on the first unsorted strand; None when nothing to do.
 
-    The induced crossings are smoothed in ascending id order.  A slide
+    The resolver smooths the induced crossings lowest id first.  A slide
     keeps the set of heights, so the children share the parent's height
     ranks (``diagram.height_ranks``).  The slide swaps two passes that
     are neighbours in height on one strand and smoothing moves no pass,
@@ -156,17 +156,17 @@ def sort_step(t: Term) -> Optional[list[Term]]:
         return None
 
     staged = induce_crossings(t, slide[1], slide[2])
-    states = [(staged.diagram.components, staged.diagram.signs(), 0)]
-    for cid in staged.diagram.crossing_ids():
+    states = [(staged.diagram.components, staged.diagram.sign_pairs, 0)]
+    for _ in staged.diagram.sign_pairs:
         states = [
-            (child_comps, child_signs, exp + shift)
-            for comps, signs, exp in states
-            for child_comps, child_signs, shift in resolver.smoothings(comps, signs, cid)
+            (child_comps, child_pairs, exp + shift)
+            for comps, pairs, exp in states
+            for child_comps, child_pairs, shift in resolver.smoothings(comps, pairs)
         ]
     rank = height_ranks(d)
     children = [
         Term(staged.coeff.shift(exp), SkeinDiagram(comps, (), {"rank": rank}))
-        for comps, _signs, exp in states
+        for comps, _pairs, exp in states
     ]
 
     for child in children:

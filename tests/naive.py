@@ -20,19 +20,18 @@ from g2skein.resolver import resolve_crossing
 def resolve_all(e: Expression) -> Expression:
     """Resolve every crossing of every term; no deduplication here.
 
-    A term with r crossings contributes exactly 2**r output terms.  Ids
-    are resolved in ascending order; renumber the crossings
-    (``diagram.renumber_crossings``) for another order.
+    A term with r crossings contributes exactly 2**r output terms.
+    ``resolve_crossing`` smooths the lowest id first; renumber the
+    crossings (``diagram.renumber_crossings``) for another order.
     """
     out: list[Term] = []
     stack = list(e)
     while stack:
         t = stack.pop()
-        signs = t.diagram.signs()
-        if not signs:
+        if not t.diagram.sign_pairs:
             out.append(t)
             continue
-        stack.extend(resolve_crossing(t, min(signs)))
+        stack.extend(resolve_crossing(t))
     out.reverse()
     return out
 
@@ -102,13 +101,13 @@ def sort_state(d: SkeinDiagram) -> tuple:
 
 def sort_children(t: Term) -> Optional[list[Term]]:
     """The children of one sort step: the slide, then ``resolve_crossing``
-    on each induced crossing in ascending id order; None when sorted."""
+    once per induced crossing, lowest id first; None when sorted."""
     chosen = sort_state(t.diagram)[2]
     if chosen is None:
         return None
     pending = [slide(t, chosen[1], chosen[2])]
-    for cid in pending[0].diagram.crossing_ids():
-        pending = [child for term in pending for child in resolve_crossing(term, cid)]
+    for _ in pending[0].diagram.sign_pairs:
+        pending = [child for term in pending for child in resolve_crossing(term)]
     return pending
 
 

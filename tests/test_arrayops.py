@@ -2,9 +2,10 @@
 
 The operators (split, reverse, merge forward, merge back) are slices of
 a component's code and height tuples in ``resolver.smoothings``, which
-``resolver.resolve_crossing`` wraps.  The worked cases
-pin the exact child arrays, and the properties check that every entry
-other than the two smoothed branches survives exactly once.
+``resolver.resolve_crossing`` wraps; both smooth the lowest crossing.
+The worked cases pin the exact child arrays, and the properties check
+that every entry other than the two smoothed branches survives exactly
+once, whichever crossing is renumbered to be the lowest.
 """
 
 import json
@@ -12,7 +13,7 @@ import json
 from hypothesis import given, strategies as st
 
 from g2skein import Term, parse_diagram, serialize_diagram, validate
-from g2skein.diagram import Component, SkeinDiagram, pass_code, pass_token, reverse_component
+from g2skein.diagram import Component, SkeinDiagram, pass_code, pass_token, renumber_crossings, reverse_component
 from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram
 from g2skein.resolver import locate_crossing, resolve_crossing, update_signs_on_reversal
@@ -24,10 +25,10 @@ def codes(*tokens):
     return tuple(pass_code(t, q.get(t, 0)) for t in tokens)
 
 
-def children(doc, cid=1):
-    """The two smoothings of crossing ``cid`` as component documents."""
+def children(doc):
+    """The two smoothings of the lowest crossing as component documents."""
     t = Term(LaurentPoly.one(), parse_diagram(json.dumps(doc)))
-    pair = resolve_crossing(t, cid)
+    pair = resolve_crossing(t)
     return [json.loads(serialize_diagram(ch.diagram))["components"] for ch in pair]
 
 
@@ -121,13 +122,17 @@ def pairs(d, drop=()):
 
 
 def check_conservation(seed, same_component):
-    d = random_diagram(seed, 2, 3)
-    for cid in d.crossing_ids():
-        (l1, _), (l2, _) = locate_crossing(d, cid)
+    drawn = random_diagram(seed, 2, 3)
+    ids = drawn.crossing_ids()
+    for cid in ids:
+        # the resolver smooths the lowest crossing: renumber cid to 1
+        order = [cid] + [i for i in ids if i != cid]
+        d = renumber_crossings(drawn, {old: new for new, old in enumerate(order, 1)})
+        (l1, _), (l2, _) = locate_crossing(d)
         if (l1 == l2) != same_component:
             continue
-        branches = codes(f"X+{cid}", f"X-{cid}")
-        first, second = resolve_crossing(Term(LaurentPoly.one(), d), cid)
+        branches = codes("X+1", "X-1")
+        first, second = resolve_crossing(Term(LaurentPoly.one(), d))
         # the split or forward child keeps every other code and height
         assert pairs(first.diagram) == pairs(d, branches)
         # the reversed child keeps every pass and height, directions aside
@@ -170,17 +175,19 @@ def test_reversing_twice_is_identity(ks):
 def test_update_signs_examples():
     # both branches of crossing 2 inside the reversed section: unchanged
     section = codes("O2", "U2", "X-2", "O2", "U2", "X+2")
-    assert update_signs_on_reversal({2: 1}, section) == {2: 1}
+    assert update_signs_on_reversal(((2, 1),), section) == ((2, 1),)
     # a single branch inside: negated
-    assert update_signs_on_reversal({3: 1}, codes("X+3")) == {3: -1}
-    assert update_signs_on_reversal({1: -1, 3: -1}, codes("X+3")) == {1: -1, 3: 1}
+    assert update_signs_on_reversal(((3, 1),), codes("X+3")) == ((3, -1),)
+    assert update_signs_on_reversal(((1, -1), (3, -1)), codes("X+3")) == ((1, -1), (3, 1))
     # nothing reversed: identity
-    assert update_signs_on_reversal({1: 1, 2: -1}, ()) == {1: 1, 2: -1}
+    assert update_signs_on_reversal(((1, 1), (2, -1)), ()) == ((1, 1), (2, -1))
 
 
 @given(st.dictionaries(st.integers(1, 6), st.sampled_from([1, -1]), max_size=6))
 def test_update_signs_is_involutive(signs):
+    pairs = tuple(sorted(signs.items()))
     section = codes("X+1", "U1", "X-3")
-    once = update_signs_on_reversal(signs, section)
-    assert update_signs_on_reversal(once, section) == signs
+    once = update_signs_on_reversal(pairs, section)
+    assert [cid for cid, _ in once] == [cid for cid, _ in pairs]
+    assert update_signs_on_reversal(once, section) == pairs
 

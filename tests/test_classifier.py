@@ -90,7 +90,7 @@ def test_evaluate_reads_the_monomial_of_a_term():
     assert value == SkeinPolynomial({BasisMonomial(x=1): coeff})
 
 
-def test_evaluate_folds_unknots_by_delta_mode():
+def test_evaluate_folds_unknots_into_delta():
     t = Term(coeff=LaurentPoly.one(), diagram=diagram(([], [], [])))
     assert classifier.evaluate([t]).text() == "(-1*t^-2 + -1*t^2)"
     # k trivial loops fold to DELTA^k in the coefficient of the empty monomial

@@ -75,6 +75,38 @@ def test_parse_rejects_garbage():
         parse_diagram(json.dumps({"components": [{"E": ["Z9"], "I": [1], "Q": [3]}], "U": {}}))
 
 
+def kink_doc(cid, token=None, key=None):
+    """A kink of crossing ``cid`` on a strand-1 loop, its over branch
+    spelled ``token`` and its U key ``key`` when given."""
+    e = ["O1", token or f"X+{cid}", f"X-{cid}", "U1"]
+    return {"components": [{"E": e, "I": [1, 3, 3, 2], "Q": [3, 0, 0, 4]}], "U": {key or str(cid): 1}}
+
+
+def test_parse_accepts_one_spelling_per_crossing_id(tmp_path, capsys):
+    assert parse_diagram(json.dumps(kink_doc(10))).sign_pairs == ((10, 1),)
+    for key in ("01", "+1", " 1", "1\n", "0"):
+        with pytest.raises(SkeinFormatError, match="bad crossing id"):
+            parse_diagram(json.dumps(kink_doc(1, key=key)))
+    with pytest.raises(SkeinFormatError, match="bad crossing id"):
+        parse_diagram(json.dumps(kink_doc(10, key="1_0")))
+    # two spellings of one crossing, or one spelling twice: no sign is
+    # silently kept
+    doc = kink_doc(1)
+    doc["U"]["01"] = -1
+    with pytest.raises(SkeinFormatError, match="bad crossing id"):
+        parse_diagram(json.dumps(doc))
+    twice = json.dumps(kink_doc(1)).replace('"U": {"1": 1}', '"U": {"1": 1, "1": -1}')
+    with pytest.raises(SkeinFormatError, match="key '1' repeated"):
+        parse_diagram(twice)
+    for token in ("X+1\n", "X+01", "X+ 1", "X++1", "X+"):
+        with pytest.raises(SkeinFormatError, match="bad pass token"):
+            parse_diagram(json.dumps(kink_doc(1, token=token)))
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(kink_doc(1, key="+1")))
+    assert cli.main(["validate", str(f)]) == 1
+    assert capsys.readouterr().err == "error: bad crossing id '+1' in U\n"
+
+
 def test_parse_runs_validation():
     doc = {"components": [{"E": ["X+1"], "I": [1], "Q": [0]}], "U": {"1": 1}}
     with pytest.raises(SkeinValidationError) as exc:

@@ -504,6 +504,18 @@ def test_cli_fuzz_clean(tmp_path):
     assert "6 diagrams" in r.stdout
 
 
+def test_cli_fuzz_reports_diagrams_without_a_confluence_check(tmp_path, monkeypatch, capsys):
+    # seed 35 draws 6 crossings, one more than the exhaustive order check takes
+    monkeypatch.chdir(tmp_path)
+    args = ["fuzz", "--seed", "35", "--count", "1", "--max-crossings", "9", "--check", "confluence"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == (
+        "1 diagrams checked, 0 failures; 1 without a confluence check (more than 5 crossings)\n"
+    )
+    assert cli.main(["fuzz", "--seed", "35", "--count", "1", "--max-crossings", "5", "--check", "confluence"]) == 0
+    assert capsys.readouterr().out == "1 diagrams checked, 0 failures\n"
+
+
 def test_cli_bench_runs(tmp_path):
     r = run_cli("bench", "--crossings", "3", "--seed", "3", cwd=str(tmp_path))
     assert r.returncode == 0, r.stderr

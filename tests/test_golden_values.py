@@ -4,9 +4,10 @@
 polynomial's text form.  ``golden_counters.txt`` holds, from the same
 runs, the input's name, a tab, and the walk's counters as ``name=count``
 fields: ``nodes``, ``crossing_expansions``, ``sort_expansions``,
-``layer_splits`` and ``leaves``.  The inputs are the fixture documents, the
-benchmark's braid closure, ``random_diagram(s, 2, 3)`` for s < 150 and
-s = 172, ``random_diagram(s, 2, 2)`` for s < 60, and
+``layer_splits``, ``leaves`` and ``values`` (distinct value objects).
+The inputs are the fixture documents, the benchmark's braid closure,
+``random_diagram(s, 2, 3)`` for s < 150 and s = 172,
+``random_diagram(s, 2, 2)`` for s < 60, and
 ``random_diagram_with_crossings(11, 10, 10)``.  A refactor that changes
 any value, or the way one is printed, fails here; one that moves work
 between the walk's rules, or adds or saves some, fails the counter check.
@@ -32,7 +33,7 @@ import workloads  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden_values.txt"
 COUNTERS = GOLDEN.with_name("golden_counters.txt")
-COUNTER_NAMES = ("nodes", "crossing_expansions", "sort_expansions", "layer_splits", "leaves")
+COUNTER_NAMES = ("nodes", "crossing_expansions", "sort_expansions", "layer_splits", "leaves", "values")
 
 
 def inputs():

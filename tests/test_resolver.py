@@ -18,15 +18,16 @@ def one_term(d):
     return Term(coeff=LaurentPoly.one(), diagram=d)
 
 
-def test_locate_crossing(two_crossing):
-    assert locate_crossing(two_crossing, 1) == ((0, 1), (0, 8))
-    assert locate_crossing(two_crossing, 2) == ((0, 4), (0, 7))
+def test_locate_crossing(two_crossing, unknot):
+    assert locate_crossing(two_crossing) == ((0, 1), (0, 8))
+    # crossing 2, once renumbered to be the lowest
+    assert locate_crossing(renumber_crossings(two_crossing, {1: 2, 2: 1})) == ((0, 4), (0, 7))
     with pytest.raises(InternalInvariantError):
-        locate_crossing(two_crossing, 9)
+        locate_crossing(unknot)
 
 
 def test_resolve_negative_crossing_children_exact(two_crossing):
-    first, second = resolve_crossing(one_term(two_crossing), 1)
+    first, second = resolve_crossing(one_term(two_crossing))
 
     # negative crossing: the split child picks up 1/t
     assert first.coeff == LaurentPoly.monomial(-1)
@@ -71,7 +72,7 @@ def test_resolve_inter_component_crossing():
         "U": {"1": 1},
     }
     d = parse_diagram(json.dumps(doc))
-    first, second = resolve_crossing(one_term(d), 1)
+    first, second = resolve_crossing(one_term(d))
     # both smoothings join the two cycles into one
     assert len(first.diagram.components) == 1
     assert len(second.diagram.components) == 1
@@ -86,7 +87,7 @@ def test_resolve_inter_component_crossing():
 
 def test_resolve_missing_crossing(unknot):
     with pytest.raises(InternalInvariantError):
-        resolve_crossing(one_term(unknot), 1)
+        resolve_crossing(one_term(unknot))
 
 
 def test_resolve_all_counts(two_crossing, two_component, unknot):
@@ -117,7 +118,7 @@ def test_resolve_all_respects_order(two_crossing):
 
 
 def test_kink_resolution_shapes(kink_pos):
-    first, second = resolve_crossing(one_term(kink_pos), 1)
+    first, second = resolve_crossing(one_term(kink_pos))
     # splitting a kink leaves the loop plus a detached circle
     assert len(first.diagram.components) == 2
     assert all(not c.codes for c in first.diagram.components)
