@@ -79,8 +79,9 @@ _STRAND_PASSES = (
 _STRAND_CODES = {pair: k for k, pair in enumerate(_STRAND_PASSES)}
 # the region each strand code leaves and the one it enters
 _REGIONS = ("LM", "ML", "MR", "RM", "LM", "ML", "MR", "RM")
-# the one spelling of a crossing id, in X tokens and U keys alike
-_CROSSING_ID = re.compile(r"[1-9][0-9]*")
+# the one spelling of a crossing id, in X tokens and U keys alike; at most
+# 18 digits, well inside the length ``int`` converts from a string
+_CROSSING_ID = re.compile(r"[1-9][0-9]{0,17}")
 
 
 def crossing_code(cid: int, over: bool) -> int:
@@ -210,7 +211,7 @@ def parse_diagram(text: str) -> SkeinDiagram:
     )
     try:
         obj = json.loads(body, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number too long for int
         raise SkeinFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SkeinFormatError("top level must be an object")

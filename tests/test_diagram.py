@@ -84,7 +84,9 @@ def kink_doc(cid, token=None, key=None):
 
 def test_parse_accepts_one_spelling_per_crossing_id(tmp_path, capsys):
     assert parse_diagram(json.dumps(kink_doc(10))).sign_pairs == ((10, 1),)
-    for key in ("01", "+1", " 1", "1\n", "0"):
+    assert parse_diagram(json.dumps(kink_doc(10**17))).sign_pairs == ((10**17, 1),)
+    long_id = "1" + "0" * 4999  # longer than int converts from a string
+    for key in ("01", "+1", " 1", "1\n", "0", str(10**18), long_id):
         with pytest.raises(SkeinFormatError, match="bad crossing id"):
             parse_diagram(json.dumps(kink_doc(1, key=key)))
     with pytest.raises(SkeinFormatError, match="bad crossing id"):
@@ -98,13 +100,17 @@ def test_parse_accepts_one_spelling_per_crossing_id(tmp_path, capsys):
     twice = json.dumps(kink_doc(1)).replace('"U": {"1": 1}', '"U": {"1": 1, "1": -1}')
     with pytest.raises(SkeinFormatError, match="key '1' repeated"):
         parse_diagram(twice)
-    for token in ("X+1\n", "X+01", "X+ 1", "X++1", "X+"):
+    for token in ("X+1\n", "X+01", "X+ 1", "X++1", "X+", "X+" + long_id):
         with pytest.raises(SkeinFormatError, match="bad pass token"):
             parse_diagram(json.dumps(kink_doc(1, token=token)))
     f = tmp_path / "d.json"
     f.write_text(json.dumps(kink_doc(1, key="+1")))
     assert cli.main(["validate", str(f)]) == 1
     assert capsys.readouterr().err == "error: bad crossing id '+1' in U\n"
+    # a number too long for int is unreadable JSON, not an internal error
+    f.write_text(json.dumps(kink_doc(1)).replace('"U": {"1": 1}', f'"U": {{"1": {long_id}}}'))
+    assert cli.main(["validate", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("error: not valid JSON: Exceeds the limit")
 
 
 def test_parse_runs_validation():

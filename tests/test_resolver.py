@@ -5,7 +5,7 @@ import json
 import pytest
 
 from g2skein import Term, parse_diagram, serialize_diagram, validate
-from g2skein.diagram import renumber_crossings
+from g2skein.diagram import SkeinDiagram, renumber_crossings
 from g2skein.errors import InternalInvariantError
 from g2skein.laurent import LaurentPoly
 from g2skein.resolver import locate_crossing, resolve_crossing
@@ -22,8 +22,11 @@ def test_locate_crossing(two_crossing, unknot):
     assert locate_crossing(two_crossing) == ((0, 1), (0, 8))
     # crossing 2, once renumbered to be the lowest
     assert locate_crossing(renumber_crossings(two_crossing, {1: 2, 2: 1})) == ((0, 4), (0, 7))
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match="no crossing"):
         locate_crossing(unknot)
+    # a crossing in the sign table but not on the components
+    with pytest.raises(InternalInvariantError, match="0 branches"):
+        locate_crossing(SkeinDiagram.make(unknot.components, {9: 1}))
 
 
 def test_resolve_negative_crossing_children_exact(two_crossing):
