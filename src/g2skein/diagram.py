@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import SkeinFormatError, SkeinValidationError
 from .laurent import LaurentPoly
@@ -121,8 +121,9 @@ class Component:
 class SkeinDiagram:
     """A full multi-component diagram plus the sign table for crossings.
 
-    Signs are stored as a sorted tuple of (id, sign) pairs so the whole
-    value stays hashable; ``signs()`` gives the mapping view.
+    Both fields are tuples, so the whole value stays hashable; the sign
+    table is its (id, sign) pairs in strictly ascending id order, which
+    ``validate`` checks.
     """
 
     components: tuple[Component, ...]
@@ -131,20 +132,6 @@ class SkeinDiagram:
     # ranks, sort state); excluded from equality and hashing, mutated in
     # place
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @staticmethod
-    def make(
-        components: Sequence[Component],
-        signs: Mapping[int, int] | None = None,
-    ) -> "SkeinDiagram":
-        pairs = tuple(sorted((signs or {}).items()))
-        return SkeinDiagram(tuple(components), pairs)
-
-    def signs(self) -> dict[int, int]:
-        return dict(self.sign_pairs)
-
-    def crossing_ids(self) -> list[int]:
-        return [cid for cid, _ in self.sign_pairs]
 
 
 @dataclass(frozen=True)
@@ -211,25 +198,25 @@ def parse_diagram(text: str) -> SkeinDiagram:
     )
     try:
         obj = json.loads(body, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, or a number too long for int
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too long a number, too deep
         raise SkeinFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SkeinFormatError("top level must be an object")
     comps_obj = obj.get("components")
     if not isinstance(comps_obj, list):
         raise SkeinFormatError('missing or invalid "components" array')
-    components = [_component_from_obj(c, i) for i, c in enumerate(comps_obj)]
+    components = tuple(_component_from_obj(c, i) for i, c in enumerate(comps_obj))
     u_obj = obj.get("U", {})
     if not isinstance(u_obj, dict):
         raise SkeinFormatError('"U" must be an object')
-    signs: dict[int, int] = {}
+    pairs = []
     for key, val in u_obj.items():
         if not _CROSSING_ID.fullmatch(key):
             raise SkeinFormatError(f"bad crossing id {key!r} in U")
         if not isinstance(val, int) or isinstance(val, bool):
             raise SkeinFormatError(f"sign for crossing {key} must be an integer")
-        signs[int(key)] = val
-    diagram = SkeinDiagram.make(components, signs)
+        pairs.append((int(key), val))
+    diagram = SkeinDiagram(components, tuple(sorted(pairs)))
     violations = validate(diagram)
     if violations:
         raise SkeinValidationError(violations)
@@ -302,8 +289,10 @@ def validate(d: SkeinDiagram) -> list[str]:
         else:
             out.append(f"height collision at height {h}")
 
-    ids_signed = {cid for cid, _ in d.sign_pairs}
-    if set(branches) != ids_signed:
+    ids = [cid for cid, _ in d.sign_pairs]
+    if any(b <= a for a, b in zip(ids, ids[1:])):
+        out.append("sign table ids not strictly ascending")
+    if set(branches) != set(ids):
         out.append("sign table key mismatch")
     for cid, sign in d.sign_pairs:
         if sign not in (1, -1):
@@ -338,25 +327,25 @@ def relabel_heights(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram
         imgs.append(mapping[h])
     if any(b <= a for a, b in zip(imgs, imgs[1:])) or any(v < 1 for v in imgs):
         raise SkeinValidationError(["relabel mapping is not strictly increasing"])
-    comps = [
+    comps = tuple(
         Component(c.codes, tuple(mapping[h] if h > 0 else 0 for h in c.heights))
         for c in d.components
-    ]
-    return SkeinDiagram.make(comps, d.signs())
+    )
+    return SkeinDiagram(comps, d.sign_pairs)
 
 
 def renumber_crossings(d: SkeinDiagram, mapping: Mapping[int, int]) -> SkeinDiagram:
     """Give crossing ``cid`` the id ``mapping[cid]``; the curves and the
     signs stay.  The walk smooths the lowest id first, so this is how an
     order of resolution is chosen."""
-    imgs = [mapping.get(cid, 0) for cid in d.crossing_ids()]
+    imgs = [mapping.get(cid, 0) for cid, _ in d.sign_pairs]
     if len(set(imgs)) != len(imgs) or min(imgs, default=1) < 1:
         raise SkeinValidationError(["renumbering does not map the crossings one-to-one to positive ids"])
-    comps = [
+    comps = tuple(
         Component(tuple([k if k >= 0 else -2 * mapping[-k >> 1] - (k & 1) for k in c.codes]), c.heights)
         for c in d.components
-    ]
-    return SkeinDiagram.make(comps, {mapping[cid]: sign for cid, sign in d.sign_pairs})
+    )
+    return SkeinDiagram(comps, tuple(sorted((mapping[cid], sign) for cid, sign in d.sign_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +417,7 @@ def dedup_key(d: SkeinDiagram) -> tuple:
         digits(off + (k if k >= 0 else -2 * renumber.setdefault(-k >> 1, len(renumber) + 1) - (k & 1)))
         for k in codes
     ]) + "\0" + (ranks if digits is chr else "".join(ranks)) + "\0" for ranks, codes in comps])
-    signs = d.signs()
+    signs = dict(d.sign_pairs)
     key = (text if digits is chr else "\1" + text, tuple([(nid, signs[old]) for old, nid in renumber.items()]))
     d._memo["key"] = key
     return key

@@ -118,7 +118,7 @@ def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
     if len(groups) < 2:
         return None
     one = LaurentPoly.one()
-    factors = [Term(one, SkeinDiagram.make(g)) for g in groups]
+    factors = [Term(one, SkeinDiagram(tuple(g), ())) for g in groups]
     return factors, {"stage": "split", "groups": len(groups)}
 
 
@@ -194,7 +194,7 @@ def _basis_value(
             if product:
                 # factors of a product: equal layers are not merged, and
                 # the leaf layers are one term whose value is their product
-                leaves = [Term(one, SkeinDiagram.make([c for f in leaves for c in f.diagram.components]))]
+                leaves = [Term(one, SkeinDiagram(tuple([c for f in leaves for c in f.diagram.components]), ()))]
             else:
                 inner = dedup(inner)
             edges = [(ch.coeff, dedup_key(ch.diagram)) for ch in inner]

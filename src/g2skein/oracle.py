@@ -137,7 +137,7 @@ def _build_attempt(rng: random.Random, max_components: int) -> Optional[SkeinDia
     best_inv: Optional[int] = None
     for _ in range(30):
         rng.shuffle(pool)
-        inv = sort_state(SkeinDiagram.make([Component(passes, tuple(pool))]))[1]
+        inv = sort_state(SkeinDiagram((Component(passes, tuple(pool)),), ()))[1]
         if best_inv is None or inv < best_inv:
             best_inv, best_pool = inv, list(pool)
         if best_inv <= 10:
@@ -169,7 +169,7 @@ def _build_attempt(rng: random.Random, max_components: int) -> Optional[SkeinDia
     # intersect arcs region by region; a crossing is positive when its
     # under arc runs to the left of its over arc
     arc_hits: dict[tuple[int, int], list[tuple[Fraction, int, bool]]] = {}
-    signs: dict[int, int] = {}
+    signs: list[tuple[int, int]] = []  # (id, sign), ids ascending
     for region, arcs in region_arcs.items():
         table = pts[region]
         for a, b in combinations(arcs, 2):
@@ -179,7 +179,7 @@ def _build_attempt(rng: random.Random, max_components: int) -> Optional[SkeinDia
             t, u, det = hit
             cid = len(signs) + 1
             a_over = rng.random() < 0.5
-            signs[cid] = 1 if (det > 0) == a_over else -1
+            signs.append((cid, 1 if (det > 0) == a_over else -1))
             arc_hits.setdefault(a, []).append((t, cid, a_over))
             arc_hits.setdefault(b, []).append((u, cid, not a_over))
 
@@ -198,7 +198,7 @@ def _build_attempt(rng: random.Random, max_components: int) -> Optional[SkeinDia
                 entries.append((crossing_code(cid, over_here), base + cid))
         components.append(Component(tuple(k for k, _ in entries), tuple(h for _, h in entries)))
 
-    d = SkeinDiagram.make(components, signs)
+    d = SkeinDiagram(tuple(components), tuple(signs))
     problems = validate(d)
     if problems:
         raise InternalInvariantError(
@@ -212,7 +212,7 @@ def random_diagram(
 ) -> SkeinDiagram:
     """Deterministic valid diagram with at most the requested sizes."""
     if max_components <= 0:
-        return SkeinDiagram.make([], {})
+        return SkeinDiagram((), ())
     rng = random.Random(seed)
     for _ in range(400):
         d = _build_attempt(rng, max_components)
@@ -220,7 +220,7 @@ def random_diagram(
             return d
     # overwhelmingly unlikely; keep the contract deterministic anyway
     loop = Component((0, 5), (1, 2))  # in front of strand 1, back behind it
-    return SkeinDiagram.make([loop], {})
+    return SkeinDiagram((loop,), ())
 
 
 def random_diagram_with_crossings(seed: int, low: int, high: int) -> SkeinDiagram:
@@ -262,7 +262,7 @@ def check_confluence(d: SkeinDiagram) -> Optional[dict]:
     keyed with a sign table are dropped after each order, so every order
     expands its crossings anew.
     """
-    ids = d.crossing_ids()
+    ids = [cid for cid, _ in d.sign_pairs]
     if len(ids) > CONFLUENCE_MAX_CROSSINGS:
         raise ValueError("too many crossings for exhaustive order checking")
     memo: dict = {}
@@ -313,16 +313,14 @@ def _with_kink(d: SkeinDiagram, sign: int, over_first: bool) -> SkeinDiagram:
     """``d`` with a kink of the given sign just before entry 0 of its
     first component: the two branches of a new crossing, adjacent, at
     a new height above every other."""
-    cid = max(d.crossing_ids(), default=0) + 1
+    cid = d.sign_pairs[-1][0] + 1 if d.sign_pairs else 1
     top = max((h for c in d.components for h in c.heights), default=0) + 1
     c = d.components[0]
     kinked = Component(
         (crossing_code(cid, over_first), crossing_code(cid, not over_first)) + c.codes,
         (top, top) + c.heights,
     )
-    signs = d.signs()
-    signs[cid] = sign
-    return SkeinDiagram.make((kinked,) + d.components[1:], signs)
+    return SkeinDiagram((kinked,) + d.components[1:], d.sign_pairs + ((cid, sign),))
 
 
 def check_framing(d: SkeinDiagram) -> Optional[dict]:

@@ -64,17 +64,17 @@ def slide(t: Term, a: int, c: int) -> Term:
         eps = 1 if row[first][0] & 1 else -1
         row.insert(first + 2, (crossing_code(1, first != jc), 0))
         row.insert(first, (crossing_code(1, first == jc), 0))
-        return Term(t.coeff * LaurentPoly.monomial(-3 * eps, -1), from_rows(rows, {1: eps}))
+        return Term(t.coeff * LaurentPoly.monomial(-3 * eps, -1), from_rows(rows, ((1, eps),)))
     eps = 1 if ka & 1 == kc & 1 else -1
     for li, j, k, over in sorted([(la, ja, ka, False), (lc, jc, kc, True)], reverse=True):
         before, after = (2, 1) if k & 1 else (1, 2)
         rows[li][j : j + 1] = [(crossing_code(before, over), 0), rows[li][j], (crossing_code(after, over), 0)]
-    return Term(t.coeff, from_rows(rows, {1: eps, 2: -eps}))
+    return Term(t.coeff, from_rows(rows, ((1, eps), (2, -eps))))
 
 
-def from_rows(rows, signs) -> SkeinDiagram:
-    return SkeinDiagram.make(
-        [Component(tuple(k for k, _ in row), tuple(h for _, h in row)) for row in rows], signs
+def from_rows(rows, sign_pairs) -> SkeinDiagram:
+    return SkeinDiagram(
+        tuple(Component(tuple(k for k, _ in row), tuple(h for _, h in row)) for row in rows), sign_pairs
     )
 
 
@@ -147,7 +147,7 @@ def naive_key(d: SkeinDiagram) -> tuple:
     appearance, the least numbering of each such reading.
     """
     rank = {h: i for i, h in enumerate(sorted({h for c in d.components for h in c.heights}))}
-    signs = d.signs()
+    signs = dict(d.sign_pairs)
     readings = []
     for c in d.components:
         seq = [(k, rank[h]) for k, h in zip(c.codes, c.heights)]
@@ -201,5 +201,5 @@ def tuple_key(d: SkeinDiagram) -> tuple:
             k if k >= 0 else -2 * renumber.setdefault(-k >> 1, len(renumber) + 1) - (k & 1)
             for k in codes
         ]), ranks) for codes, ranks in comps]
-    signs = d.signs()
+    signs = dict(d.sign_pairs)
     return (tuple(comps), tuple((nid, signs[old]) for old, nid in renumber.items()))

@@ -49,17 +49,17 @@ def test_a2_resolution_term_counts():
     start = time.perf_counter()
     base = resolve_all([Term(coeff=LaurentPoly.one(), diagram=parse_diagram(doc_text(TWO_CROSSING_DOC)))])
     assert len(base) == 4
-    assert all(t.diagram.signs() == {} for t in base)
+    assert all(t.diagram.sign_pairs == () for t in base)
 
     seen_counts = set()
     for seed in range(30):
         d = random_diagram(seed, max_components=2, max_self_crossings=3)
-        r = len(d.signs())
+        r = len(d.sign_pairs)
         if r > 5:
             continue
         terms = resolve_all([Term(coeff=LaurentPoly.one(), diagram=d)])
         assert len(terms) == 2 ** r
-        assert all(t.diagram.signs() == {} for t in terms)
+        assert all(t.diagram.sign_pairs == () for t in terms)
         seen_counts.add(r)
     assert len(seen_counts) >= 3
     elapsed = time.perf_counter() - start

@@ -123,7 +123,7 @@ def pairs(d, drop=()):
 
 def check_conservation(seed, same_component):
     drawn = random_diagram(seed, 2, 3)
-    ids = drawn.crossing_ids()
+    ids = [cid for cid, _ in drawn.sign_pairs]
     for cid in ids:
         # the resolver smooths the lowest crossing: renumber cid to 1
         order = [cid] + [i for i in ids if i != cid]
@@ -156,7 +156,7 @@ def test_merges_conserve_entries(seed):
 def test_reverse_flips_direction_codes():
     doc = one(["O1", "X+1", "O2", "U2", "X-1", "U1"], [1, 5, 3, 4, 5, 2], [3, 0, 4, 5, 0, 4])
     c = parse_diagram(json.dumps(doc)).components[0]
-    back = SkeinDiagram.make([reverse_component(c)], {1: 1})
+    back = SkeinDiagram((reverse_component(c),), ((1, 1),))
     assert json.loads(serialize_diagram(back)) == one(
         ["U1", "X-1", "U2", "O2", "X+1", "O1"], [2, 5, 4, 3, 5, 1], [3, 0, 4, 5, 0, 4]
     )

@@ -31,7 +31,7 @@ def test_winding_counts_front_passes_only():
 
 def loop_value(c, coeff=None):
     """The value of one sorted component as a one-term expression."""
-    return classifier.evaluate([Term(coeff or LaurentPoly.one(), SkeinDiagram.make([c]))])
+    return classifier.evaluate([Term(coeff or LaurentPoly.one(), SkeinDiagram((c,), ()))])
 
 
 def test_classify_basis_loops():

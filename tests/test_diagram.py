@@ -47,13 +47,13 @@ SPLIT_REGIONS_DOC = {
 }
 
 
-def mk(*comps, signs=None):
+def mk(*comps, pairs=()):
     """Build a diagram without the parse-time validation gate."""
-    cs = [
+    cs = tuple(
         Component(tuple(pass_code(t, d) for t, d in zip(e, q)), tuple(i))
         for e, i, q in comps
-    ]
-    return SkeinDiagram.make(cs, signs or {})
+    )
+    return SkeinDiagram(cs, pairs)
 
 
 def test_round_trip_is_byte_exact(two_crossing, two_component):
@@ -113,6 +113,21 @@ def test_parse_accepts_one_spelling_per_crossing_id(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: not valid JSON: Exceeds the limit")
 
 
+def test_deeply_nested_json_is_a_format_error(tmp_path, capsys):
+    """JSON nested deeper than the decoder recurses is unreadable input:
+    exit 1 and one error line, not an internal error."""
+    docs = ("[" * 100_000, '{"components": ' + "[" * 3000 + "]" * 3000 + ', "U": {}}')
+    f = tmp_path / "deep.json"
+    for text in docs:
+        with pytest.raises(SkeinFormatError, match="not valid JSON: maximum recursion depth"):
+            parse_diagram(text)
+        f.write_text(text)
+        assert cli.main(["validate", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: not valid JSON: maximum recursion depth")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_parse_runs_validation():
     doc = {"components": [{"E": ["X+1"], "I": [1], "Q": [0]}], "U": {"1": 1}}
     with pytest.raises(SkeinValidationError) as exc:
@@ -125,7 +140,7 @@ def test_parse_runs_validation():
 def test_zero_heights_only_for_crossings_mid_pipeline():
     # input documents never carry the placeholder height 0, on crossing
     # branches or on strand passes
-    d = mk((["X+1", "X-1"], [0, 0], [0, 0]), signs={1: 1})
+    d = mk((["X+1", "X-1"], [0, 0], [0, 0]), pairs=((1, 1),))
     problems = validate(d)
     assert len(problems) == 2 and all("zero height" in p for p in problems)
     d2 = mk((["O1"], [0], [3]))
@@ -133,12 +148,12 @@ def test_zero_heights_only_for_crossings_mid_pipeline():
 
 
 def test_validate_unpaired_crossing():
-    d = mk((["X+1"], [1], [0]), signs={1: 1})
+    d = mk((["X+1"], [1], [0]), pairs=((1, 1),))
     assert any("unpaired" in p for p in validate(d))
 
 
 def test_validate_branch_height_mismatch():
-    d = mk((["X+1", "X-1"], [1, 2], [0, 0]), signs={1: 1})
+    d = mk((["X+1", "X-1"], [1, 2], [0, 0]), pairs=((1, 1),))
     assert any("height mismatch" in p for p in validate(d))
 
 
@@ -146,15 +161,27 @@ def test_validate_height_collisions():
     d = mk((["O1", "U1"], [1, 1], [3, 4]))
     assert any("collision" in p for p in validate(d))
     # two different crossings may not share a height either
-    d2 = mk((["X+1", "X-1", "X+2", "X-2"], [1, 1, 1, 1], [0, 0, 0, 0]), signs={1: 1, 2: 1})
+    d2 = mk((["X+1", "X-1", "X+2", "X-2"], [1, 1, 1, 1], [0, 0, 0, 0]), pairs=((1, 1), (2, 1)))
     assert any("collision" in p for p in validate(d2))
 
 
 def test_validate_sign_table():
     d = mk((["X+1", "X-1"], [1, 1], [0, 0]))
     assert any("sign table" in p for p in validate(d))
-    d2 = mk((["O1", "U1"], [1, 2], [3, 4]), signs={7: 1})
+    d2 = mk((["O1", "U1"], [1, 2], [3, 4]), pairs=((7, 1),))
     assert any("sign table" in p for p in validate(d2))
+
+
+def test_validate_sign_ids_strictly_ascending(two_crossing):
+    """A sign table lists each id once, lowest first; a repeated or a
+    descending id is a validation error, never an internal one."""
+    assert two_crossing.sign_pairs == ((1, -1), (2, 1))
+    for pairs in (((1, -1), (1, 1), (2, 1)), ((2, 1), (1, -1))):
+        d = SkeinDiagram(two_crossing.components, pairs)
+        assert validate(d) == ["sign table ids not strictly ascending"]
+        with pytest.raises(SkeinValidationError) as exc:
+            engine.run_pipeline(d)
+        assert exc.value.violations == ["sign table ids not strictly ascending"]
 
 
 def test_validate_orientation_codes():
@@ -184,7 +211,7 @@ def test_validate_crossing_regions():
         parse_diagram(doc_text(SPLIT_REGIONS_DOC))
     assert exc.value.violations == ["self-crossing 1 branches lie in regions M and R"]
     # a component without strand passes fits any region
-    loop = mk((["O1", "X+1", "U1"], [1, 3, 2], [3, 0, 4]), (["X-1"], [3], [0]), signs={1: 1})
+    loop = mk((["O1", "X+1", "U1"], [1, 3, 2], [3, 0, 4]), (["X-1"], [3], [0]), pairs=((1, 1),))
     assert validate(loop) == []
 
 
@@ -208,14 +235,14 @@ def test_flipped_direction_codes_are_rejected():
 
 
 def test_bad_sign_value_reported():
-    d = mk((["X+1", "X-1"], [1, 1], [0, 0]), signs={1: 2})
+    d = mk((["X+1", "X-1"], [1, 1], [0, 0]), pairs=((1, 2),))
     assert validate(d) == ["bad sign value for crossing 1"]
 
 
 def test_rotate_component_shifts_start():
     d = parse_diagram(json.dumps({"components": [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}], "U": {}}))
     r = rotate_component(d.components[0], 1)
-    rd = SkeinDiagram.make([r], {})
+    rd = SkeinDiagram((r,), ())
     assert json.loads(serialize_diagram(rd))["components"][0] == {
         "E": ["U1", "O1"],
         "I": [2, 1],
@@ -232,9 +259,7 @@ def test_rotate_full_cycle_is_identity(two_crossing):
 def test_rotation_preserves_dedup_key(two_crossing, two_component):
     for d in (two_crossing, two_component):
         for k in range(1, len(d.components[0])):
-            rot = SkeinDiagram.make(
-                [rotate_component(d.components[0], k), *d.components[1:]], d.signs()
-            )
+            rot = SkeinDiagram((rotate_component(d.components[0], k), *d.components[1:]), d.sign_pairs)
             assert validate(rot) == []
             assert dedup_key(rot) == dedup_key(d)
 
@@ -264,11 +289,11 @@ def test_relabel_heights_rejects_bad_mappings(two_crossing):
 
 
 def test_renumber_crossings_keeps_key_and_value(two_component):
-    ids = two_component.crossing_ids()
+    ids = [cid for cid, _ in two_component.sign_pairs]
     mapping = dict(zip(ids, [3 * cid + 4 for cid in reversed(ids)]))
     renumbered = renumber_crossings(two_component, mapping)
     assert validate(renumbered) == []
-    assert renumbered.crossing_ids() == sorted(mapping.values())
+    assert [cid for cid, _ in renumbered.sign_pairs] == sorted(mapping.values())
     assert dedup_key(renumbered) == dedup_key(two_component)
     assert engine.run_pipeline(renumbered) == engine.run_pipeline(two_component)
     # every branch keeps its side and height, and every crossing its sign
@@ -284,12 +309,12 @@ def test_renumber_crossings_rejects_bad_mappings(two_crossing):
 def test_dedup_key_constant_on_symmetry_orbit(two_component):
     base = dedup_key(two_component)
 
-    swapped = SkeinDiagram.make(list(two_component.components[::-1]), two_component.signs())
+    swapped = SkeinDiagram(two_component.components[::-1], two_component.sign_pairs)
     assert dedup_key(swapped) == base
 
-    rot = SkeinDiagram.make(
-        [rotate_component(two_component.components[0], 3), two_component.components[1]],
-        two_component.signs(),
+    rot = SkeinDiagram(
+        (rotate_component(two_component.components[0], 3), two_component.components[1]),
+        two_component.sign_pairs,
     )
     assert dedup_key(rot) == base
 
@@ -305,7 +330,7 @@ def test_dedup_key_ignores_reversal_without_crossings(y_neg, y_pos):
         back = reverse_component(d.components[0])
         assert back != d.components[0]
         for k in range(len(back)):
-            variant = SkeinDiagram.make([rotate_component(back, k)], {})
+            variant = SkeinDiagram((rotate_component(back, k),), ())
             assert validate(variant) == []
             assert dedup_key(variant) == dedup_key(d)
 
@@ -320,7 +345,7 @@ def reencode(d, rng):
     """A random re-encoding of ``d``: components shuffled and rotated,
     reversed at random when ``d`` has no crossings, heights relabelled
     and crossings renumbered."""
-    ids = d.crossing_ids()
+    ids = [cid for cid, _ in d.sign_pairs]
     renamed = renumber_crossings(d, dict(zip(ids, rng.sample(range(1, 3 * len(ids) + 2), len(ids)))))
     comps = []
     for c in renamed.components:
@@ -328,7 +353,7 @@ def reencode(d, rng):
             c = reverse_component(c)
         comps.append(rotate_component(c, rng.randrange(len(c) + 1)))
     rng.shuffle(comps)
-    out = SkeinDiagram.make(comps, renamed.signs())
+    out = SkeinDiagram(tuple(comps), renamed.sign_pairs)
     used = sorted({h for c in comps for h in c.heights})
     images = sorted(rng.sample(range(1, 4 * len(used) + 2), len(used)))
     return relabel_heights(out, dict(zip(used, images)))
@@ -420,7 +445,7 @@ def kink_chain(n):
     at its own height."""
     codes = tuple(k for cid in range(1, n + 1) for k in (-2 * cid, -2 * cid - 1))
     heights = tuple(h for h in range(1, n + 1) for _ in (0, 1))
-    return SkeinDiagram.make([Component(codes, heights)], {cid: 1 for cid in range(1, n + 1)})
+    return SkeinDiagram((Component(codes, heights),), tuple((cid, 1) for cid in range(1, n + 1)))
 
 
 def many_heights(n):
@@ -428,7 +453,7 @@ def many_heights(n):
     each pass at its own height, and a two-kink chain above it."""
     passes = Component((0, 1) * (n // 2), tuple(range(1, n + 1)))
     kinks = Component((-2, -3, -4, -5), (n + 1, n + 1, n + 2, n + 2))
-    return SkeinDiagram.make([passes, kinks], {1: 1, 2: -1})
+    return SkeinDiagram((passes, kinks), ((1, 1), (2, -1)))
 
 
 @pytest.mark.parametrize("build, n", [(kink_chain, 8200), (many_heights, 70000)], ids=["crossings", "heights"])

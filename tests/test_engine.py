@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import g2skein
-from g2skein import Term, cli, engine, parse_diagram, serialize_diagram
+from g2skein import Term, classifier, cli, engine, parse_diagram, serialize_diagram
 from g2skein.diagram import (
     SkeinDiagram,
     dedup_key,
@@ -45,9 +45,7 @@ def one_term(d, coeff=None):
 # dedup
 
 def test_dedup_merges_symmetric_duplicates(y_neg):
-    rotated = SkeinDiagram.make(
-        [rotate_component(y_neg.components[0], 2)], y_neg.signs()
-    )
+    rotated = SkeinDiagram((rotate_component(y_neg.components[0], 2),), y_neg.sign_pairs)
     e = [
         one_term(y_neg, LaurentPoly.monomial(1)),
         one_term(rotated, LaurentPoly.monomial(1)),
@@ -137,7 +135,7 @@ def test_resolution_order_does_not_change_value(two_crossing):
     assert run_pipeline(flipped) == run_pipeline(two_crossing)
     for seed in range(6):
         d = random_diagram_with_crossings(seed, 3, 4)
-        ids = d.crossing_ids()
+        ids = [cid for cid, _ in d.sign_pairs]
         reversed_ids = renumber_crossings(d, dict(zip(ids, reversed(ids))))
         assert run_pipeline(reversed_ids) == run_pipeline(d), seed
 
@@ -185,9 +183,36 @@ def test_step_limit_propagates(y_neg):
 
 
 def test_invalid_diagram_rejected(y_neg):
-    broken = SkeinDiagram.make(list(y_neg.components), {4: 1})
+    broken = SkeinDiagram(y_neg.components, ((4, 1),))
     with pytest.raises(SkeinValidationError):
         run_pipeline(broken)
+
+
+def test_walk_keeps_sign_ids_ascending(monkeypatch, y_neg, y_pos, unknot, kink_pos, two_crossing, two_component):
+    """``validate`` checks the sign-id order of the input only; every
+    diagram the walk builds from it and keys or classifies must keep
+    its sign pairs in strictly ascending id order too."""
+    seen = []
+    key, value = engine.dedup_key, classifier.evaluate
+
+    def key_spy(d):
+        seen.append(d)
+        return key(d)
+
+    def value_spy(e):
+        seen.extend(t.diagram for t in e)
+        return value(e)
+
+    monkeypatch.setattr(engine, "dedup_key", key_spy)
+    monkeypatch.setattr(classifier, "evaluate", value_spy)
+    inputs = [y_neg, y_pos, unknot, kink_pos, two_crossing, two_component]
+    inputs += [random_diagram(s, 2, 3) for s in range(150)] + [random_diagram_with_crossings(11, 10, 10)]
+    for d in inputs:
+        run_pipeline(d)
+    assert sum(len(d.sign_pairs) > 1 for d in seen) > 1000
+    for d in seen:
+        ids = [cid for cid, _ in d.sign_pairs]
+        assert all(a < b for a, b in zip(ids, ids[1:])), d.sign_pairs
 
 
 def test_stats_and_trace(two_crossing):
@@ -234,7 +259,7 @@ def stacked(lower, upper):
     top = max(h for c in lower.components for h in c.heights)
     used = {h for c in upper.components for h in c.heights}
     raised = relabel_heights(upper, {h: h + top for h in used})
-    return SkeinDiagram.make(lower.components + raised.components)
+    return SkeinDiagram(lower.components + raised.components, ())
 
 
 def test_stacked_layers_multiply(y_neg, y_pos):
@@ -268,7 +293,7 @@ def test_interleaved_heights_do_not_split():
 
 
 def test_trivial_loop_is_split_off(y_neg, unknot):
-    d = SkeinDiagram.make(y_neg.components + unknot.components)
+    d = SkeinDiagram(y_neg.components + unknot.components, ())
     factors, record = split_stage(one_term(d))
     assert record == {"stage": "split", "groups": 2}
     assert [f.diagram.components for f in factors] == [y_neg.components, unknot.components]
@@ -401,13 +426,13 @@ def re_encodings(d):
     """Every component rotation, the components in reverse order, heights
     doubled plus 3, and, for a crossing-free input, each component
     traversed backwards."""
-    comps = list(d.components)
+    comps = d.components
     for li, c in enumerate(comps):
         for k in range(1, len(c)):
-            yield SkeinDiagram.make(comps[:li] + [rotate_component(c, k)] + comps[li + 1 :], d.signs())
+            yield SkeinDiagram(comps[:li] + (rotate_component(c, k),) + comps[li + 1 :], d.sign_pairs)
         if not d.sign_pairs:
-            yield SkeinDiagram.make(comps[:li] + [reverse_component(c)] + comps[li + 1 :])
-    yield SkeinDiagram.make(comps[::-1], d.signs())
+            yield SkeinDiagram(comps[:li] + (reverse_component(c),) + comps[li + 1 :], ())
+    yield SkeinDiagram(comps[::-1], d.sign_pairs)
     yield relabel_heights(d, {h: 2 * h + 3 for c in comps for h in c.heights if h})
 
 

@@ -55,13 +55,13 @@ def test_generated_diagrams_are_valid():
         d = random_diagram(seed)
         assert validate(d) == []
         assert 1 <= len(d.components) <= 2
-        assert len(d.signs()) <= 3
+        assert len(d.sign_pairs) <= 3
 
 
 def test_crossing_count_targeting():
     for seed in range(10):
         d = random_diagram_with_crossings(seed, 2, 4)
-        assert 2 <= len(d.signs()) <= 4
+        assert 2 <= len(d.sign_pairs) <= 4
         assert validate(d) == []
 
 

@@ -26,7 +26,7 @@ def test_locate_crossing(two_crossing, unknot):
         locate_crossing(unknot)
     # a crossing in the sign table but not on the components
     with pytest.raises(InternalInvariantError, match="0 branches"):
-        locate_crossing(SkeinDiagram.make(unknot.components, {9: 1}))
+        locate_crossing(SkeinDiagram(unknot.components, ((9, 1),)))
 
 
 def test_resolve_negative_crossing_children_exact(two_crossing):
@@ -84,7 +84,7 @@ def test_resolve_inter_component_crossing():
     assert first.coeff == LaurentPoly.monomial(1)
     assert second.coeff == LaurentPoly.monomial(-1)
     for child in (first, second):
-        assert child.diagram.signs() == {}
+        assert child.diagram.sign_pairs == ()
         assert validate(child.diagram) == []
 
 
@@ -101,7 +101,7 @@ def test_resolve_all_counts(two_crossing, two_component, unknot):
 
 def test_resolve_all_leaves_no_crossings(two_component):
     for t in resolve_all([one_term(two_component)]):
-        assert t.diagram.signs() == {}
+        assert t.diagram.sign_pairs == ()
         assert validate(t.diagram) == []
 
 
@@ -117,7 +117,7 @@ def test_resolve_all_respects_order(two_crossing):
 
     assert coeffs(default) == coeffs(flipped)
     for t in flipped:
-        assert t.diagram.signs() == {}
+        assert t.diagram.sign_pairs == ()
 
 
 def test_kink_resolution_shapes(kink_pos):

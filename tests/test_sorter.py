@@ -68,7 +68,7 @@ def test_is_sorted_needs_all_front_below_all_behind():
 
 def test_sort_state_slide_examples():
     def state(*comps):
-        return sort_state(SkeinDiagram.make(comps))
+        return sort_state(SkeinDiagram(comps, ()))
 
     assert state(strand_passes((1, 4), (2, 3))) == (4, 2, (1, 3, 4))
     assert state(strand_passes((1, 3), (2, 4))) == (4, 1, (1, 2, 3))
