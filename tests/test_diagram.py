@@ -165,22 +165,19 @@ def test_validate_height_collisions():
     assert any("collision" in p for p in validate(d2))
 
 
-def test_validate_sign_table():
+def test_validate_sign_table(two_crossing):
     d = mk((["X+1", "X-1"], [1, 1], [0, 0]))
     assert any("sign table" in p for p in validate(d))
     d2 = mk((["O1", "U1"], [1, 2], [3, 4]), pairs=((7, 1),))
     assert any("sign table" in p for p in validate(d2))
-
-
-def test_validate_sign_ids_strictly_ascending(two_crossing):
-    """A sign table lists each id once, lowest first; a repeated or a
-    descending id is a validation error, never an internal one."""
+    # each id once, lowest first: a repeated or a descending id is a
+    # validation error, never an internal one
     assert two_crossing.sign_pairs == ((1, -1), (2, 1))
     for pairs in (((1, -1), (1, 1), (2, 1)), ((2, 1), (1, -1))):
-        d = SkeinDiagram(two_crossing.components, pairs)
-        assert validate(d) == ["sign table ids not strictly ascending"]
+        d3 = SkeinDiagram(two_crossing.components, pairs)
+        assert validate(d3) == ["sign table ids not strictly ascending"]
         with pytest.raises(SkeinValidationError) as exc:
-            engine.run_pipeline(d)
+            engine.run_pipeline(d3)
         assert exc.value.violations == ["sign table ids not strictly ascending"]
 
 
