@@ -14,7 +14,6 @@ from .errors import (
 from .laurent import BasisMonomial, LaurentPoly, SkeinPolynomial
 from .diagram import (
     Component,
-    Expression,
     SkeinDiagram,
     Term,
     parse_diagram,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisMonomial",
     "Component",
-    "Expression",
     "InternalInvariantError",
     "LaurentPoly",
     "SkeinDiagram",

@@ -18,7 +18,7 @@ the output would not be a value of the curve.
 
 from __future__ import annotations
 
-from .diagram import Component, Expression
+from .diagram import Component, Term
 from .errors import InternalInvariantError
 from .laurent import BasisMonomial, LaurentPoly, SkeinPolynomial
 
@@ -43,7 +43,7 @@ def winding(c: Component) -> tuple[int, int]:
     return w[0], w[1]
 
 
-def evaluate(e: Expression) -> SkeinPolynomial:
+def evaluate(e: list[Term]) -> SkeinPolynomial:
     """Sum an expression of sorted terms into a polynomial: each component
     is a basis loop, or a trivial loop folded into the coefficient as a
     factor ``DELTA``."""

@@ -56,7 +56,6 @@ __all__ = [
     "Component",
     "SkeinDiagram",
     "Term",
-    "Expression",
     "crossing_code",
     "pass_code",
     "pass_token",
@@ -140,9 +139,6 @@ class Term:
 
     coeff: LaurentPoly
     diagram: SkeinDiagram
-
-
-Expression = list
 
 
 # ---------------------------------------------------------------------------

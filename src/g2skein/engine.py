@@ -43,7 +43,7 @@ import time
 from typing import Callable, Optional
 
 from . import classifier, resolver, sorter
-from .diagram import Expression, SkeinDiagram, Term, dedup_key, validate
+from .diagram import SkeinDiagram, Term, dedup_key, validate
 from .errors import SkeinValidationError, StepLimitExceeded
 from .laurent import LaurentPoly, SkeinPolynomial
 
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-def dedup(e: Expression) -> Expression:
+def dedup(e: list[Term]) -> list[Term]:
     """Merge terms that draw the same skein; drop exact cancellations.
 
     Two terms merge when their diagrams have equal ``dedup_key``s (sign
@@ -77,16 +77,17 @@ def resolve_stage(t: Term) -> tuple[list[Term], dict]:
     its trace record.  To expand the crossings in another order,
     renumber them (``diagram.renumber_crossings``)."""
     cid, sign = t.diagram.sign_pairs[0]
-    (l1, j1), (l2, j2) = resolver.locate_crossing(t.diagram)
+    children = list(resolver.resolve_crossing(t))
+    # a split leaves one component more, a merge one fewer
+    grew = len(children[0].diagram.components) > len(t.diagram.components)
     record = {
         "stage": "resolve",
         "crossing": cid,
-        "case": "split" if l1 == l2 else "merge",
-        "positions": [[l1, j1], [l2, j2]],
+        "case": "split" if grew else "merge",
         "shift_first": sign,
         "shift_second": -sign,
     }
-    return list(resolver.resolve_crossing(t)), record
+    return children, record
 
 
 def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:

@@ -36,31 +36,7 @@ from typing import Iterable, Sequence
 from .diagram import Component, SkeinDiagram, Term, crossing_code, reverse_component
 from .errors import InternalInvariantError
 
-__all__ = ["locate_crossing", "smoothings", "resolve_crossing", "update_signs_on_reversal"]
-
-
-def _branch_spots(
-    comps: Sequence[Component], sign_pairs: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    if not sign_pairs:
-        raise InternalInvariantError("no crossing to smooth")
-    cid = sign_pairs[0][0]
-    hits = []
-    for li, c in enumerate(comps):
-        for k in (crossing_code(cid, True), crossing_code(cid, False)):
-            n = c.codes.count(k)
-            if n:  # a repeated branch shows as a third hit
-                hits += [(li, c.codes.index(k))] * n
-    if len(hits) != 2:
-        raise InternalInvariantError(
-            f"crossing {cid} has {len(hits)} branches, expected 2"
-        )
-    return min(hits), max(hits)
-
-
-def locate_crossing(d: SkeinDiagram) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Positions of the lowest crossing's two branches as ((l1,j1),(l2,j2)), sorted."""
-    return _branch_spots(d.components, d.sign_pairs)
+__all__ = ["smoothings", "resolve_crossing", "update_signs_on_reversal"]
 
 
 def update_signs_on_reversal(
@@ -80,7 +56,18 @@ def smoothings(
     """Smooth the lowest crossing, ``sign_pairs[0]``: the (components, sign
     pairs, exponent) of the split-or-forward child, then of the reversed
     child."""
-    (l1, j1), (l2, j2) = _branch_spots(comps, sign_pairs)
+    if not sign_pairs:
+        raise InternalInvariantError("no crossing to smooth")
+    (cid, sign), others = sign_pairs[0], sign_pairs[1:]
+    hits = []
+    for li, c in enumerate(comps):
+        for code in (crossing_code(cid, True), crossing_code(cid, False)):
+            n = c.codes.count(code)
+            if n:  # a repeated branch shows as a third hit
+                hits += [(li, c.codes.index(code))] * n
+    if len(hits) != 2:
+        raise InternalInvariantError(f"crossing {cid} has {len(hits)} branches, expected 2")
+    (l1, j1), (l2, j2) = min(hits), max(hits)
     k, h = comps[l1].codes, comps[l1].heights
     if l1 == l2:
         before, after, rest = comps[:l1], comps[l1 + 1 :], j2 + 1
@@ -99,7 +86,6 @@ def smoothings(
     else:  # merge forward
         first = before + (spliced(section),) + after
     second = before + (spliced(reverse_component(section)),) + after
-    sign, others = sign_pairs[0][1], sign_pairs[1:]
     flipped = update_signs_on_reversal(others, section.codes) if others else others
     return (first, others, sign), (second, flipped, -sign)
 

@@ -12,12 +12,12 @@ from typing import Optional
 
 from g2skein import Term
 from g2skein.classifier import evaluate
-from g2skein.diagram import Component, Expression, SkeinDiagram, crossing_code
+from g2skein.diagram import Component, SkeinDiagram, crossing_code
 from g2skein.laurent import LaurentPoly
 from g2skein.resolver import resolve_crossing
 
 
-def resolve_all(e: Expression) -> Expression:
+def resolve_all(e: list[Term]) -> list[Term]:
     """Resolve every crossing of every term; no deduplication here.
 
     A term with r crossings contributes exactly 2**r output terms.
@@ -111,7 +111,7 @@ def sort_children(t: Term) -> Optional[list[Term]]:
     return pending
 
 
-def sort_expression(e: Expression) -> Expression:
+def sort_expression(e: list[Term]) -> list[Term]:
     """Run the naive sort step to a fixed point over the whole expression.
 
     Between rounds, terms whose diagrams are exactly equal (same

@@ -16,7 +16,7 @@ from g2skein import Term, parse_diagram, serialize_diagram, validate
 from g2skein.diagram import Component, SkeinDiagram, pass_code, pass_token, renumber_crossings, reverse_component
 from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram
-from g2skein.resolver import locate_crossing, resolve_crossing, update_signs_on_reversal
+from g2skein.resolver import resolve_crossing, update_signs_on_reversal
 
 
 def codes(*tokens):
@@ -128,10 +128,12 @@ def check_conservation(seed, same_component):
         # the resolver smooths the lowest crossing: renumber cid to 1
         order = [cid] + [i for i in ids if i != cid]
         d = renumber_crossings(drawn, {old: new for new, old in enumerate(order, 1)})
-        (l1, _), (l2, _) = locate_crossing(d)
-        if (l1 == l2) != same_component:
-            continue
         branches = codes("X+1", "X-1")
+        # the components that carry a branch of crossing 1
+        carriers = [i for i, c in enumerate(d.components) for k in branches if k in c.codes]
+        assert len(carriers) == 2
+        if (carriers[0] == carriers[1]) != same_component:
+            continue
         first, second = resolve_crossing(Term(LaurentPoly.one(), d))
         # the split or forward child keeps every other code and height
         assert pairs(first.diagram) == pairs(d, branches)

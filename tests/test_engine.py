@@ -188,6 +188,12 @@ def test_invalid_diagram_rejected(y_neg):
         run_pipeline(broken)
 
 
+def walk_population(*fixtures):
+    """The given fixtures, ``random_diagram(s, 2, 3)`` for s < 150 and
+    the ``crossings-10`` diagram."""
+    return list(fixtures) + [random_diagram(s, 2, 3) for s in range(150)] + [random_diagram_with_crossings(11, 10, 10)]
+
+
 def test_walk_keeps_sign_ids_ascending(monkeypatch, y_neg, y_pos, unknot, kink_pos, two_crossing, two_component):
     """``validate`` checks the sign-id order of the input only; every
     diagram the walk builds from it and keys or classifies must keep
@@ -205,14 +211,39 @@ def test_walk_keeps_sign_ids_ascending(monkeypatch, y_neg, y_pos, unknot, kink_p
 
     monkeypatch.setattr(engine, "dedup_key", key_spy)
     monkeypatch.setattr(classifier, "evaluate", value_spy)
-    inputs = [y_neg, y_pos, unknot, kink_pos, two_crossing, two_component]
-    inputs += [random_diagram(s, 2, 3) for s in range(150)] + [random_diagram_with_crossings(11, 10, 10)]
-    for d in inputs:
+    for d in walk_population(y_neg, y_pos, unknot, kink_pos, two_crossing, two_component):
         run_pipeline(d)
     assert sum(len(d.sign_pairs) > 1 for d in seen) > 1000
     for d in seen:
         ids = [cid for cid, _ in d.sign_pairs]
         assert all(a < b for a, b in zip(ids, ids[1:])), d.sign_pairs
+
+
+def test_resolve_records_name_the_case(monkeypatch, y_neg, y_pos, unknot, kink_pos, two_crossing, two_component):
+    """A ``resolve`` record's ``case`` is ``split`` exactly when the two
+    branch codes of the smoothed crossing lie on one component, read here
+    off the diagram that the record's expansion smooths."""
+    smoothed, records = [], []
+    stage = engine.resolve_stage
+
+    def stage_spy(t):
+        smoothed.append(t.diagram)
+        return stage(t)
+
+    monkeypatch.setattr(engine, "resolve_stage", stage_spy)
+    for d in walk_population(y_neg, y_pos, unknot, kink_pos, two_crossing, two_component):
+        run_pipeline(d, emit=records.append)
+    records = [r for r in records if r["stage"] == "resolve"]
+    assert len(records) == len(smoothed)
+    cases = {"split": 0, "merge": 0}
+    for r, d in zip(records, smoothed):
+        cid = d.sign_pairs[0][0]
+        assert r["crossing"] == cid
+        carriers = [i for i, c in enumerate(d.components) for k in (-2 * cid, -2 * cid - 1) if k in c.codes]
+        assert len(carriers) == 2
+        assert r["case"] == ("split" if carriers[0] == carriers[1] else "merge")
+        cases[r["case"]] += 1
+    assert min(cases.values()) > 100, cases
 
 
 def test_stats_and_trace(two_crossing):
@@ -247,7 +278,7 @@ def test_trace_is_pinned(tmp_path):
     assert cli.main(["resolve", str(doc), "--trace", str(trace_file)]) == 0
     data = trace_file.read_bytes()
     assert data.count(b"\n") == 1021
-    assert hashlib.sha256(data).hexdigest() == "9f34a4f7f8dea76b33312244f6d2603ea535aa62c26bb71a898a65b9afc2e932"
+    assert hashlib.sha256(data).hexdigest() == "17f7fab491b70ba3702acd0b77d9f56da3f349031b8567066859e573fce1dbd9"
 
 
 # ---------------------------------------------------------------------------

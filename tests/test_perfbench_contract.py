@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "workload, trace",
     [
-        ("braid", "0"), ("braid", "1"), ("traced", "1"), ("batch", "0"), ("batch", "1"),
+        ("braid", "0"), ("braid", "1"), ("traced", "0"), ("traced", "1"), ("batch", "0"), ("batch", "1"),
         ("crossings-10", "0"), ("crossings-10", "1"),
     ],
 )

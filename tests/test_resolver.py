@@ -8,7 +8,7 @@ from g2skein import Term, parse_diagram, serialize_diagram, validate
 from g2skein.diagram import SkeinDiagram, renumber_crossings
 from g2skein.errors import InternalInvariantError
 from g2skein.laurent import LaurentPoly
-from g2skein.resolver import locate_crossing, resolve_crossing
+from g2skein.resolver import resolve_crossing
 
 from conftest import doc_text
 from naive import resolve_all
@@ -16,17 +16,6 @@ from naive import resolve_all
 
 def one_term(d):
     return Term(coeff=LaurentPoly.one(), diagram=d)
-
-
-def test_locate_crossing(two_crossing, unknot):
-    assert locate_crossing(two_crossing) == ((0, 1), (0, 8))
-    # crossing 2, once renumbered to be the lowest
-    assert locate_crossing(renumber_crossings(two_crossing, {1: 2, 2: 1})) == ((0, 4), (0, 7))
-    with pytest.raises(InternalInvariantError, match="no crossing"):
-        locate_crossing(unknot)
-    # a crossing in the sign table but not on the components
-    with pytest.raises(InternalInvariantError, match="0 branches"):
-        locate_crossing(SkeinDiagram(unknot.components, ((9, 1),)))
 
 
 def test_resolve_negative_crossing_children_exact(two_crossing):
@@ -65,6 +54,44 @@ def test_resolve_negative_crossing_children_exact(two_crossing):
         assert validate(child.diagram) == []
 
 
+def test_resolve_positive_crossing_children_exact(two_crossing):
+    # crossing 2, renumbered to be the lowest: its branches are entries 4
+    # and 7, and the section between them is entries 5 and 6
+    d = renumber_crossings(two_crossing, {1: 2, 2: 1})
+    first, second = resolve_crossing(one_term(d))
+
+    # positive crossing: the split child picks up t
+    assert first.coeff == LaurentPoly.monomial(1)
+    assert json.loads(serialize_diagram(first.diagram)) == {
+        "components": [
+            {"E": ["O2", "U2"], "I": [3, 4], "Q": [4, 5]},
+            {
+                "E": ["O1", "X-2", "O2", "U2", "X+2", "U1"],
+                "I": [1, 8, 6, 5, 8, 2],
+                "Q": [3, 0, 4, 5, 0, 4],
+            },
+        ],
+        "U": {"2": -1},
+    }
+
+    # the rewired child reverses entries 5 and 6 and picks up 1/t; no
+    # branch of the other crossing sits inside, so its sign stays -1
+    assert second.coeff == LaurentPoly.monomial(-1)
+    assert json.loads(serialize_diagram(second.diagram)) == {
+        "components": [
+            {
+                "E": ["O1", "X-2", "O2", "U2", "U2", "O2", "X+2", "U1"],
+                "I": [1, 8, 6, 5, 4, 3, 8, 2],
+                "Q": [3, 0, 4, 5, 4, 5, 0, 4],
+            }
+        ],
+        "U": {"2": -1},
+    }
+
+    for child in (first, second):
+        assert validate(child.diagram) == []
+
+
 def test_resolve_inter_component_crossing():
     # both branches of crossing 1 lie in region M
     doc = {
@@ -89,8 +116,11 @@ def test_resolve_inter_component_crossing():
 
 
 def test_resolve_missing_crossing(unknot):
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match="no crossing to smooth"):
         resolve_crossing(one_term(unknot))
+    # a crossing in the sign table but not on the components
+    with pytest.raises(InternalInvariantError, match="crossing 9 has 0 branches, expected 2"):
+        resolve_crossing(one_term(SkeinDiagram(unknot.components, ((9, 1),))))
 
 
 def test_resolve_all_counts(two_crossing, two_component, unknot):
