@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 unreadable or invalid input, an unwritable
 file or a usage error, 2 a bug (any other exception, or a fuzz
-counterexample), 3 expansion budget (``--max-steps``) exceeded.
+counterexample), 3 expansion budget (``--max-steps``) exceeded or out
+of memory, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -161,6 +162,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except StepLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # the walk's frames and memo are released by now
+        print("error: out of memory", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -95,27 +95,20 @@ def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
     each a factor with coefficient 1, and the trace record; None when
     there is only one layer.
 
-    Components whose height intervals overlap share a layer; each
-    component without passes is a layer of its own.
+    Components whose height intervals overlap share a layer.  A
+    component without passes gets the span (0, 0), below every pass
+    height, so it is a layer of its own, ahead of the others.
     """
-    spans = []
-    loops = []
-    for c in t.diagram.components:
-        if c.heights:
-            spans.append((min(c.heights), max(c.heights), c))
-        else:
-            loops.append([c])
+    spans = [(min(c.heights or (0,)), max(c.heights or (0,)), c) for c in t.diagram.components]
     spans.sort(key=lambda span: span[0])
     groups: list[list] = []
-    top = 0
+    top = 0  # no span starts below 0, so the first opens a layer
     for low, high, c in spans:
-        if groups and low < top:
+        if low < top:
             groups[-1].append(c)
-            top = max(top, high)
         else:
             groups.append([c])
-            top = high
-    groups += loops
+        top = max(top, high)
     if len(groups) < 2:
         return None
     one = LaurentPoly.one()

@@ -28,6 +28,7 @@ from g2skein.diagram import (
     rotate_component,
 )
 from g2skein.oracle import random_diagram, random_diagram_with_crossings
+from g2skein.sorter import sort_state
 
 from conftest import TWO_COMPONENT_DOC, TWO_CROSSING_DOC, doc_text
 from naive import naive_key, tuple_key
@@ -382,21 +383,25 @@ def test_dedup_key_partition_matches_brute_force(monkeypatch):
 
 def walk_keys(inputs, monkeypatch):
     """The diagrams the walk keys on ``inputs``, and the inner children
-    of each crossing or sort expansion, by spying on ``engine``."""
+    (those with a crossing or an inversion left) of each crossing or
+    sort expansion, by spying on ``engine``."""
     keyed, siblings = [], []
-    dedup = engine.dedup
 
     def key_spy(d):
         keyed.append(d)
         return dedup_key(d)
 
-    def dedup_spy(e):
-        siblings.append([t.diagram for t in e])
-        return dedup(e)
+    def sibling_spy(stage):
+        def spy(t):
+            children, record = stage(t)
+            siblings.append([ch.diagram for ch in children if ch.diagram.sign_pairs or sort_state(ch.diagram)[1]])
+            return children, record
+        return spy
 
     with monkeypatch.context() as m:
         m.setattr(engine, "dedup_key", key_spy)
-        m.setattr(engine, "dedup", dedup_spy)
+        for name in ("resolve_stage", "sort_stage"):
+            m.setattr(engine, name, sibling_spy(getattr(engine, name)))
         for d in inputs:
             engine.run_pipeline(d)
     return keyed, siblings

@@ -118,13 +118,13 @@ def test_two_component_fixture_value(two_component):
 
 
 def test_equal_values_are_one_object(two_component):
-    """The memo maps its 1,341 keys to one object per distinct value, and
-    sharing them changes no value."""
-    memo = {}
-    value = engine._basis_value(two_component, memo=memo)
+    """The memo holds one key per node and one object per distinct value,
+    and sharing them changes no value."""
+    memo, stats = {}, {}
+    value = engine._basis_value(two_component, memo=memo, stats=stats)
     assert value.text() == TWO_COMPONENT_VALUE
-    assert len(memo) == 1341
-    assert len({id(v) for v in memo.values()}) == len(set(memo.values())) == 86
+    assert len(memo) == stats["nodes"]
+    assert len({id(v) for v in memo.values()}) == len(set(memo.values())) == stats["values"]
 
 
 def test_resolution_order_does_not_change_value(two_crossing):
@@ -160,21 +160,6 @@ def test_runs_share_no_memo(two_crossing):
     first.pop("seconds"), second.pop("seconds")
     assert first == second
     assert first["sort_expansions"] > 0
-
-
-def expansions(d):
-    stats = {}
-    run_pipeline(d, stats=stats)
-    return stats["crossing_expansions"], stats["sort_expansions"], stats["layer_splits"]
-
-
-def test_expansion_counts_are_pinned():
-    """(crossing, sort, split) expansions of the walk on generated
-    diagrams; a change that moves work between the rules shows here."""
-    assert expansions(random_diagram_with_crossings(11, 10, 10)) == (853, 2508, 548)
-    assert expansions(random_diagram(172, 2, 3)) == (7, 847, 165)
-    sums = [expansions(random_diagram(s, 2, 3)) for s in range(150)]
-    assert tuple(map(sum, zip(*sums))) == (196, 2773, 444)
 
 
 def test_step_limit_propagates(y_neg):
@@ -247,25 +232,24 @@ def test_resolve_records_name_the_case(monkeypatch, y_neg, y_pos, unknot, kink_p
 
 
 def test_stats_and_trace(two_crossing):
+    """The trace has one record per expansion the counters report,
+    between ``start`` and ``done``; the fixture expands by every rule, so
+    every kind of record is checked.  ``golden_counters.txt`` pins the
+    counts themselves."""
     stats, lines = {}, []
     out = run_pipeline(two_crossing, emit=lines.append, stats=stats)
     assert out.text() == "(1 + -1*t^4)*x*z^2 + (-1*t^-4)*x + (-1*t^6)*y*z"
     assert stats.pop("seconds") >= 0
-    assert stats == {
-        "nodes": 15,
-        "values": 13,
-        "crossing_expansions": 3,
-        "sort_expansions": 7,
-        "layer_splits": 5,
-        "leaves": 20,
-    }
+    assert set(stats) == {"nodes", "values", "crossing_expansions", "sort_expansions", "layer_splits", "leaves"}
+    expanded = stats["crossing_expansions"], stats["sort_expansions"], stats["layer_splits"]
+    assert min(expanded) >= 1
     stages = [l["stage"] for l in lines]
     assert stages[0] == "start" and stages[-1] == "done"
     assert stages.count("resolve") == stats["crossing_expansions"]
     assert stages.count("sort") == stats["sort_expansions"]
     assert stages.count("split") == stats["layer_splits"]
     assert all(l["groups"] >= 2 for l in lines if l["stage"] == "split")
-    assert len(stages) == 2 + 3 + 7 + 5
+    assert len(stages) == 2 + sum(expanded)
     assert lines[-1]["polynomial"] == out.text()
 
 
@@ -306,7 +290,11 @@ def test_stacked_layers_multiply(y_neg, y_pos):
 
 def test_interleaved_heights_do_not_split():
     # the intervals [6, 8] and [1, 7] overlap, and no diagram the sort
-    # reaches from here separates either
+    # reaches from here separates either.  On neither strand do the two
+    # components interleave: the first one's strand-1 heights 6 and 8 lie
+    # above the other's 2 and 3, and it has no strand-2 pass, so a rule
+    # that compared intervals per strand would split it;
+    # test_heights_interleaved_on_one_strand_do_not_split covers that.
     d = parse_diagram(doc_text({
         "components": [
             {"E": ["U1", "U1"], "I": [8, 6], "Q": [3, 4]},
@@ -323,11 +311,25 @@ def test_interleaved_heights_do_not_split():
     assert value == naive_value(d)
 
 
+@pytest.mark.parametrize("seed, strand", [(541, 1), (258, 2)])
+def test_heights_interleaved_on_one_strand_do_not_split(seed, strand):
+    """Two components whose passes interleave along one strand: one at
+    heights 1 and 4 straddles the other at 2 and 3 there."""
+    d = random_diagram(seed, 2, 0)
+    on_strand = [sorted(h for k, h in zip(c.codes, c.heights) if (k >> 1) & 1 == strand - 1) for c in d.components]
+    assert sorted(on_strand) == [[1, 4], [2, 3]]
+    assert split_stage(one_term(d)) is None
+    stats = {}
+    value = run_pipeline(d, stats=stats)
+    assert stats["layer_splits"] == 0
+    assert value == naive_value(d)
+
+
 def test_trivial_loop_is_split_off(y_neg, unknot):
     d = SkeinDiagram(y_neg.components + unknot.components, ())
     factors, record = split_stage(one_term(d))
     assert record == {"stage": "split", "groups": 2}
-    assert [f.diagram.components for f in factors] == [y_neg.components, unknot.components]
+    assert [f.diagram.components for f in factors] == [unknot.components, y_neg.components]
     stats = {}
     assert run_pipeline(d, stats=stats) == run_pipeline(y_neg) * run_pipeline(unknot)
     assert stats["layer_splits"] == 1
@@ -432,6 +434,24 @@ def test_cli_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1] == "internal error: KeyError: 'lost'"
+
+
+@pytest.mark.parametrize("exc, status, message", [
+    (MemoryError, 3, "error: out of memory"),
+    (KeyboardInterrupt, 130, "interrupted"),
+])
+def test_cli_out_of_memory_and_interrupt_exit_without_a_traceback(tmp_path, monkeypatch, capsys, exc, status, message):
+    """Running out of memory ends like an exhausted budget, with exit 3,
+    and Ctrl-C with exit 130; each prints one line and no traceback."""
+    f = tmp_path / "d.json"
+    f.write_text(doc_text(TWO_CROSSING_DOC))
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(engine, "run_pipeline", broken)
+    assert cli.main(["resolve", str(f)]) == status
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 def test_console_script_is_cli_main():

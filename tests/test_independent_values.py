@@ -15,7 +15,9 @@ and does its own arithmetic on plain ints:
   on braids closed around strand 1, as drawn and mirrored; the mirror
   images have n^2 height inversions, so this is the check with an
   independently computed value that drives the sorter; and the same
-  closures with the strands swapped, around strand 2, valued in z.
+  closures with the strands swapped, around strand 2, valued in z;
+* the exponent congruence of the Kauffman bracket on the 220 golden
+  inputs and on ``random_diagram(s, 2, 3)`` for s < 500.
 """
 
 import json
@@ -30,6 +32,7 @@ from g2skein.engine import run_pipeline
 from g2skein.oracle import random_diagram, random_diagram_with_crossings
 
 import conftest
+from test_golden_values import inputs as golden_inputs
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import oracles  # noqa: E402
@@ -123,3 +126,18 @@ def test_annular_state_sum_on_closures_around_strand_2(mirror):
         failure = annular_failure(value_obj(swap_strands(doc)), expected, "z")
         assert failure is None, f"{n} threads, word {word}, mirror {mirror}: {failure}"
 
+
+def test_exponent_congruence():
+    """Every term t^e x^i y^j z^k of a value has the same e + 2(i + j + k)
+    mod 4, and e has the parity of the input's crossing count R.  In a
+    state of the bracket sum the exponent moves by 2 and the number of
+    curves by 1 per smoothing changed, and each trivial curve folded
+    into the coefficient brings an exponent of 2 mod 4.  A change of
+    exponents by a multiple of 4 passes this check."""
+    diagrams = [d for _name, d in golden_inputs()] + [random_diagram(s, 2, 3) for s in range(500)]
+    for d in diagrams:
+        doc = json.loads(serialize_diagram(d))
+        terms = oracles.poly_terms(run_pipeline(d).to_json_obj())
+        classes = {(e + 2 * (x + y + z)) % 4 for (x, y, z, _unknot), coeff in terms.items() for e in coeff}
+        assert len(classes) <= 1, doc
+        assert all((c - len(doc["U"])) % 2 == 0 for c in classes), doc

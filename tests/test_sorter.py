@@ -199,9 +199,12 @@ def test_sort_step_matches_naive_composition(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(sorter, "sort_step", spy)
+    expanded = 0
     for d in [random_diagram(s, 2, 3) for s in range(40)] + [random_diagram_with_crossings(11, 10, 10)]:
-        run_pipeline(d)
-    assert len(parents) > 2508
+        stats = {}
+        run_pipeline(d, stats=stats)
+        expanded += stats["sort_expansions"]
+    assert len(parents) == expanded
 
     def multiset(children):
         return Counter((dedup_key(ch.diagram), ch.coeff) for ch in children)
