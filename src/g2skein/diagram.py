@@ -62,6 +62,7 @@ __all__ = [
     "parse_diagram",
     "serialize_diagram",
     "validate",
+    "require_valid",
     "rotate_component",
     "reverse_component",
     "relabel_heights",
@@ -128,8 +129,8 @@ class SkeinDiagram:
     components: tuple[Component, ...]
     sign_pairs: tuple[tuple[int, int], ...]
     # per-object scratch cache for derived data (canonical key, height
-    # ranks, sort state); excluded from equality and hashing, mutated in
-    # place
+    # ranks, sort state, clean validation verdict); excluded from equality
+    # and hashing, mutated in place
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -212,11 +213,7 @@ def parse_diagram(text: str) -> SkeinDiagram:
         if not isinstance(val, int) or isinstance(val, bool):
             raise SkeinFormatError(f"sign for crossing {key} must be an integer")
         pairs.append((int(key), val))
-    diagram = SkeinDiagram(components, tuple(sorted(pairs)))
-    violations = validate(diagram)
-    if violations:
-        raise SkeinValidationError(violations)
-    return diagram
+    return require_valid(SkeinDiagram(components, tuple(sorted(pairs))))
 
 
 def serialize_diagram(d: SkeinDiagram) -> str:
@@ -294,6 +291,18 @@ def validate(d: SkeinDiagram) -> list[str]:
         if sign not in (1, -1):
             out.append(f"bad sign value for crossing {cid}")
     return out
+
+
+def require_valid(d: SkeinDiagram) -> SkeinDiagram:
+    """``d`` itself, once ``validate`` finds it clean; otherwise raise
+    ``SkeinValidationError``.  The clean verdict is cached on ``d``, so a
+    parsed diagram is not scanned again when it is valued."""
+    if "valid" not in d._memo:
+        violations = validate(d)
+        if violations:
+            raise SkeinValidationError(violations)
+        d._memo["valid"] = True
+    return d
 
 
 # ---------------------------------------------------------------------------

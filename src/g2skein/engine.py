@@ -3,9 +3,10 @@
 A diagram's value is computed by a single depth-first walk over the
 diagrams it rewrites into.  A node that still has a crossing expands
 into its two smoothings (the crossing rule, ``resolve_stage``); an
-unsorted crossing-free node is split into height layers when it has
-more than one (the layer rule, ``split_stage``) and otherwise expands
-by one sorting slide (the sort rule, ``sort_stage``).  A sorted
+unsorted crossing-free node with two or more inversions is split into
+height layers when it has more than one (the layer rule,
+``split_stage``); otherwise an unsorted crossing-free node expands by
+one sorting slide (the sort rule, ``sort_stage``).  A sorted
 crossing-free child is a leaf: its parent hands all its leaves to one
 classifier call and never keys them, since classifying costs less than
 keying.  Every other node, the root included, is valued once per run:
@@ -21,20 +22,25 @@ Why the layer rule is sound.  The genus-2 handlebody is P x I, with P
 the disk minus the two base strands and I the height axis of the
 arrays.  Its skein module is a commutative algebra whose product is
 stacking in height (Bullock-Przytycki, Proc. AMS 128, 2000;
-Przytycki-Sikora, Topology 39, 2000).  Give each component of a
-crossing-free diagram the interval [min, max] of its pass heights and
-merge components whose intervals overlap; the groups so formed span
-disjoint height intervals.  In each region (L, M, R) the arcs do not
-cross.  Every arc joins two passes of one component, so along each
-strand a region touches the endpoints of each group's arcs form a
-contiguous run, with the runs of the groups below it on one side and
-those above it on the other.  Hence no arc of one group separates two
-endpoints of another, and since a crossing-free arc system in a disk is
-fixed up to isotopy by its endpoint pairing, each group can be pushed
-into its own height band.  Level planes then separate the
-groups, and the value is the product of the groups' values.  A
-component without passes is a trivial loop that shrinks into any band,
-so it is a group of its own.
+Przytycki-Sikora, Topology 39, 2000).  In a crossing-free diagram the
+arcs of each region (L, M, R) do not cross, and a crossing-free arc
+system in a disk is fixed up to isotopy by the order of its ends along
+the boundary.  L borders strand 1, R borders strand 2, and M's boundary
+runs up strand 1 and down strand 2, so the order of the passes along
+each strand fixes the diagram: moving strand 1's passes up or down past
+strand 2's is an isotopy as long as each strand keeps its own order.
+Merge two groups of components whenever their height intervals overlap
+on strand 1 or on strand 2, until none do.  Then each group's passes
+form one run on each strand, and the runs can be stacked into height
+bands one per group, unless two groups lie in opposite orders on the
+two strands.  That cannot happen: two groups on both strands each have
+an arc in M from strand 1 to strand 2, and those arcs would cross.
+Level planes then separate the groups, and the value is the product of
+the groups' values.  A component without passes is a trivial loop that
+shrinks into any band, so it is a group of its own.  The walk tries the
+rule only on nodes with at least two inversions: a node with one is one
+slide from sorted, all that slide's children are leaves, and a split
+would only add a node.
 """
 
 from __future__ import annotations
@@ -43,8 +49,8 @@ import time
 from typing import Callable, Optional
 
 from . import classifier, resolver, sorter
-from .diagram import SkeinDiagram, Term, dedup_key, validate
-from .errors import SkeinValidationError, StepLimitExceeded
+from .diagram import SkeinDiagram, Term, dedup_key, require_valid
+from .errors import InternalInvariantError, StepLimitExceeded
 from .laurent import LaurentPoly, SkeinPolynomial
 
 __all__ = [
@@ -95,24 +101,49 @@ def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
     each a factor with coefficient 1, and the trace record; None when
     there is only one layer.
 
-    Components whose height intervals overlap share a layer.  A
-    component without passes gets the span (0, 0), below every pass
-    height, so it is a layer of its own, ahead of the others.
+    Two groups of components share a layer when their height intervals
+    on strand 1 overlap, or those on strand 2; merging repeats until no
+    group's interval on either strand overlaps another's.  Layers come
+    in the order of their lowest pass, each with its components in the
+    order of theirs.  A component without passes is a layer of its own,
+    ahead of the others.
     """
-    spans = [(min(c.heights or (0,)), max(c.heights or (0,)), c) for c in t.diagram.components]
-    spans.sort(key=lambda span: span[0])
-    groups: list[list] = []
-    top = 0  # no span starts below 0, so the first opens a layer
-    for low, high, c in spans:
-        if low < top:
-            groups[-1].append(c)
-        else:
-            groups.append([c])
-        top = max(top, high)
+    comps = sorted(t.diagram.components, key=lambda c: min(c.heights, default=0))
+    # each component's pass heights on strand 1 and on strand 2
+    on_strand = [([h for k, h in zip(c.codes, c.heights) if not k & 2],
+                  [h for k, h in zip(c.codes, c.heights) if k & 2]) for c in comps]
+    root = list(range(len(comps)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            i = root[i] = root[root[i]]
+        return i
+
+    merged = True
+    while merged:
+        merged = False
+        for strand in (0, 1):
+            spans: dict[int, tuple[int, int]] = {}
+            for i, heights in enumerate(on_strand):
+                if heights[strand]:
+                    r, low, high = find(i), min(heights[strand]), max(heights[strand])
+                    prior = spans.get(r, (low, high))
+                    spans[r] = (min(prior[0], low), max(prior[1], high))
+            top = 0  # no height is below 1, so the lowest span opens a run
+            for low, high, r in sorted((low, high, r) for r, (low, high) in spans.items()):
+                if low < top:
+                    root[r] = below
+                    merged = True
+                else:
+                    below = r
+                top = max(top, high)
+    groups: dict[int, list] = {}
+    for i, c in enumerate(comps):
+        groups.setdefault(find(i), []).append(c)
     if len(groups) < 2:
         return None
     one = LaurentPoly.one()
-    factors = [Term(one, SkeinDiagram(tuple(g), ())) for g in groups]
+    factors = [Term(one, SkeinDiagram(tuple(g), ())) for g in groups.values()]
     return factors, {"stage": "split", "groups": len(groups)}
 
 
@@ -121,6 +152,28 @@ def sort_stage(t: Term) -> tuple[list[Term], dict]:
     trace record."""
     strand, under, over = sorter.sort_state(t.diagram)[2]
     return sorter.sort_step(t), {"stage": "sort", "strand": strand, "under": under, "over": over}
+
+
+def _check_exponents(value: SkeinPolynomial, crossings: int) -> None:
+    """Raise ``InternalInvariantError`` unless ``value`` can be the value
+    of a diagram with ``crossings`` drawn crossings.
+
+    In Kauffman's state sum on the view down the height axis, a state
+    gives t^(a - b) times its loops, and changing one smoothing moves
+    a - b by 2 and the number of loops by 1; a trivial loop is
+    -t^2 - t^-2 and an essential one x, y or z.  So over all the terms
+    t^e x^i y^j z^k of the value, e + 2(i + j + k) lies in one class mod
+    4, and e has the parity of ``crossings``.  The check reads only the
+    value, so it shares no code with the rules that computed it.  It
+    cannot see an error that moves exponents by multiples of 4, such as
+    swapped signs on the two crossings of a pair induction.
+    """
+    classes = {(e + 2 * sum(mono)) % 4 for mono, coeff in value.items() for e, _c in coeff.terms}
+    if len(classes) > 1 or any((cls - crossings) % 2 for cls in classes):
+        raise InternalInvariantError(
+            f"value of a node with {crossings} crossings breaks the exponent congruence:"
+            f" e + 2(i + j + k) takes the classes {sorted(classes)} mod 4"
+        )
 
 
 def _basis_value(
@@ -150,6 +203,7 @@ def _basis_value(
     it is empty unless the caller passes one.  ``stats`` gets ``nodes``
     (keyed nodes, the root included), ``values`` (distinct values, one
     object each), ``leaves`` (sorted children) and the expansions per rule.
+    Each value new to the run passes ``_check_exponents``.
     """
 
     one = LaurentPoly.one()
@@ -160,6 +214,7 @@ def _basis_value(
     # a sorted root is a leaf, and no rule expands a leaf
     if root not in memo and not d0.sign_pairs and not sorter.sort_state(d0)[1]:
         total = classifier.evaluate([Term(one, d0)])
+        _check_exponents(total, 0)
         memo[root] = shared.setdefault(total, total)
     counts: dict[str, int] = {}
     n_leaves = 0
@@ -172,7 +227,11 @@ def _basis_value(
             continue
         if expansion is None:
             t = Term(one, d)
-            children, record = resolve_stage(t) if d.sign_pairs else split_stage(t) or sort_stage(t)
+            if d.sign_pairs:
+                children, record = resolve_stage(t)
+            else:
+                # one inversion is one slide from sorted: split nothing
+                children, record = sorter.sort_state(d)[1] > 1 and split_stage(t) or sort_stage(t)
             counts[record["stage"]] = counts.get(record["stage"], 0) + 1
             if max_steps is not None and sum(counts.values()) > max_steps:
                 raise StepLimitExceeded(f"the walk needs more than {max_steps} expansions")
@@ -207,7 +266,9 @@ def _basis_value(
             for coeff, ck in edges:
                 memo[ck].scale_into(sums, coeff)
             total = SkeinPolynomial.collect(sums)
-        memo[key] = shared.setdefault(total, total)
+        value = memo[key] = shared.setdefault(total, total)
+        if value is total:
+            _check_exponents(total, len(key[1]))
         stack.pop()
     if stats is not None:
         stats.update(
@@ -235,10 +296,7 @@ def run_pipeline(
     record per expansion, between a ``start`` and a ``done`` record, and
     ``stats`` is filled with the walk's counters and the run's seconds.
     """
-    violations = validate(d)
-    if violations:
-        raise SkeinValidationError(violations)
-
+    require_valid(d)
     started = time.perf_counter()
     if emit is not None:
         emit({"stage": "start", "crossings": len(d.sign_pairs)})

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import g2skein
-from g2skein import Term, classifier, cli, engine, parse_diagram, serialize_diagram
+from g2skein import Term, classifier, cli, diagram, engine, parse_diagram, serialize_diagram, sorter
 from g2skein.diagram import (
     SkeinDiagram,
     dedup_key,
@@ -23,7 +23,7 @@ from g2skein.diagram import (
 )
 from g2skein.classifier import evaluate
 from g2skein.engine import dedup, run_pipeline, split_stage
-from g2skein.errors import SkeinValidationError, StepLimitExceeded
+from g2skein.errors import InternalInvariantError, SkeinValidationError, StepLimitExceeded
 from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram, random_diagram_with_crossings
 from g2skein.sorter import sort_state
@@ -173,6 +173,52 @@ def test_invalid_diagram_rejected(y_neg):
         run_pipeline(broken)
 
 
+def test_each_document_is_validated_once(monkeypatch, y_neg):
+    """``parse_diagram`` caches its clean verdict on the diagram, so the
+    run that values it scans it no more; a diagram built in Python is
+    scanned once however often it runs, and a broken one never passes."""
+    scans = []
+    real = diagram.validate
+
+    def spy(d):
+        scans.append(d)
+        return real(d)
+
+    monkeypatch.setattr(diagram, "validate", spy)
+    d = parse_diagram(doc_text(TWO_CROSSING_DOC))
+    run_pipeline(d)
+    assert scans == [d]
+    built = SkeinDiagram(y_neg.components, ())
+    run_pipeline(built)
+    run_pipeline(built)
+    assert scans == [d, built]
+    broken = SkeinDiagram(y_neg.components, ((4, 1),))
+    for _ in range(2):
+        with pytest.raises(SkeinValidationError):
+            run_pipeline(broken)
+    assert scans == [d, built, broken, broken]
+
+
+def test_walk_checks_the_exponent_congruence(monkeypatch, two_crossing):
+    """The mutant M1 flips the exponent of the twist compensation
+    -t^(-3 sign) in ``induce_crossings``: it multiplies a twist's term
+    by t^(6 sign), so the value of the first node that sums a twist's
+    children with others mixes two classes of e + 2(i + j + k) mod 4."""
+    real = sorter.induce_crossings
+
+    def m1(t, a, c):
+        staged = real(t, a, c)
+        if len(staged.diagram.sign_pairs) != 1:
+            return staged
+        ((_cid, sign),) = staged.diagram.sign_pairs
+        return Term(staged.coeff * LaurentPoly.monomial(6 * sign), staged.diagram)
+
+    run_pipeline(two_crossing)
+    monkeypatch.setattr(sorter, "induce_crossings", m1)
+    with pytest.raises(InternalInvariantError, match=r"takes the classes \[0, 2\] mod 4"):
+        run_pipeline(two_crossing)
+
+
 def walk_population(*fixtures):
     """The given fixtures, ``random_diagram(s, 2, 3)`` for s < 150 and
     the ``crossings-10`` diagram."""
@@ -261,8 +307,8 @@ def test_trace_is_pinned(tmp_path):
     doc.write_text(serialize_diagram(random_diagram(172, 2, 3)))
     assert cli.main(["resolve", str(doc), "--trace", str(trace_file)]) == 0
     data = trace_file.read_bytes()
-    assert data.count(b"\n") == 1021
-    assert hashlib.sha256(data).hexdigest() == "17f7fab491b70ba3702acd0b77d9f56da3f349031b8567066859e573fce1dbd9"
+    assert data.count(b"\n") == 898
+    assert hashlib.sha256(data).hexdigest() == "bfdbd64b1848d9864084d550616f8f648a7d78d00cd7dab4375f4045aea00548"
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +334,12 @@ def test_stacked_layers_multiply(y_neg, y_pos):
         assert value == evaluate(sort_expression([one_term(d)]))
 
 
-def test_interleaved_heights_do_not_split():
-    # the intervals [6, 8] and [1, 7] overlap, and no diagram the sort
-    # reaches from here separates either.  On neither strand do the two
-    # components interleave: the first one's strand-1 heights 6 and 8 lie
-    # above the other's 2 and 3, and it has no strand-2 pass, so a rule
-    # that compared intervals per strand would split it;
-    # test_heights_interleaved_on_one_strand_do_not_split covers that.
+def test_heights_interleaved_on_neither_strand_split():
+    # the global intervals [6, 8] and [1, 7] overlap, but on neither
+    # strand do the two components interleave: the first one's strand-1
+    # heights 6 and 8 lie above the other's 2 and 3, and it has no
+    # strand-2 pass.  So they are two layers, and the node has the two
+    # inversions the walk splits at.
     d = parse_diagram(doc_text({
         "components": [
             {"E": ["U1", "U1"], "I": [8, 6], "Q": [3, 4]},
@@ -303,10 +348,13 @@ def test_interleaved_heights_do_not_split():
         ],
         "U": {},
     }))
-    assert split_stage(one_term(d)) is None
+    factors, record = split_stage(one_term(d))
+    assert record == {"stage": "split", "groups": 2}
+    assert [f.diagram.components for f in factors] == [d.components[1:], d.components[:1]]
+    assert sort_state(d)[1] == 2
     stats = {}
     value = run_pipeline(d, stats=stats)
-    assert stats["layer_splits"] == 0
+    assert stats["layer_splits"] == 1
     assert stats["sort_expansions"] == 3
     assert value == naive_value(d)
 
@@ -330,9 +378,26 @@ def test_trivial_loop_is_split_off(y_neg, unknot):
     factors, record = split_stage(one_term(d))
     assert record == {"stage": "split", "groups": 2}
     assert [f.diagram.components for f in factors] == [unknot.components, y_neg.components]
+    # the walk splits a node with two inversions
+    two = random_diagram(3, 1, 0)
+    assert sort_state(two)[1] == 2
     stats = {}
-    assert run_pipeline(d, stats=stats) == run_pipeline(y_neg) * run_pipeline(unknot)
+    run_pipeline(two, stats=stats)
+    assert stats["layer_splits"] == 0
+    d = SkeinDiagram(two.components + unknot.components, ())
+    assert run_pipeline(d, stats=stats) == run_pipeline(two) * run_pipeline(unknot)
     assert stats["layer_splits"] == 1
+
+
+def test_one_inversion_is_sorted_without_a_split(y_neg, unknot):
+    """A node one slide from sorted is slid at once: all the slide's
+    children are leaves, so a split would only add a node."""
+    d = SkeinDiagram(y_neg.components + unknot.components, ())
+    assert sort_state(d)[1] == 1 and split_stage(one_term(d)) is not None
+    stats, lines = {}, []
+    assert run_pipeline(d, emit=lines.append, stats=stats) == run_pipeline(y_neg) * run_pipeline(unknot)
+    assert (stats["nodes"], stats["layer_splits"], stats["sort_expansions"]) == (1, 0, 1)
+    assert [l["stage"] for l in lines] == ["start", "sort", "done"]
 
 
 # ---------------------------------------------------------------------------

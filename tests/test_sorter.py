@@ -21,7 +21,7 @@ from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram, random_diagram_with_crossings
 from g2skein.sorter import induce_crossings, sort_state, sort_step
 
-from conftest import TWO_CROSSING_DOC, Y_NEG_DOC
+from conftest import TWO_COMPONENT_DOC, TWO_CROSSING_DOC, Y_NEG_DOC
 import naive
 from naive import resolve_all, sort_expression
 
@@ -200,11 +200,16 @@ def test_sort_step_matches_naive_composition(monkeypatch):
 
     monkeypatch.setattr(sorter, "sort_step", spy)
     expanded = 0
-    for d in [random_diagram(s, 2, 3) for s in range(40)] + [random_diagram_with_crossings(11, 10, 10)]:
+    inputs = [random_diagram(s, 2, 3) for s in range(80)]
+    inputs += [parse(TWO_COMPONENT_DOC), random_diagram_with_crossings(11, 10, 10)]
+    for d in inputs:
         stats = {}
         run_pipeline(d, stats=stats)
         expanded += stats["sort_expansions"]
     assert len(parents) == expanded
+    # no fewer slides than the 2,508 that the first 40 inputs and the
+    # 10-crossing one gave when the layer rule compared global intervals
+    assert expanded >= 2508
 
     def multiset(children):
         return Counter((dedup_key(ch.diagram), ch.coeff) for ch in children)
