@@ -32,8 +32,8 @@ pass entered, and both branches of a crossing lie in one region.
 ``dedup_key`` names a diagram up to re-encoding, starting each
 component at its lowest entry, so no rotation is searched for.  Its
 text is, per component, codes k as chr(k + 2R + 3) (R crossings) and
-ranks i as chr(i), each run ended by "\0", so siblings in the walk
-(same R, same heights) order as (codes, ranks) tuples.  Past 0x10FFFF
+ranks i as chr(i), each run ended by "\0", so ``engine.dedup`` orders
+texts of one R and height set as (codes, ranks) tuples.  Past 0x10FFFF
 values take two digits each, after a "\1" no one-digit text starts with.
 
 The table ``U`` maps each self-crossing id to its sign.  An id is
@@ -383,7 +383,7 @@ def dedup_key(d: SkeinDiagram) -> tuple:
     reordered, crossing ids renumbered, and in a crossing-free diagram
     components traversed backwards (the curves are unoriented; only
     crossing signs depend on the direction).  Keys of any two diagrams
-    compare, so the key serves for bucketing and for ordering.
+    compare: the walk's memo buckets by key, ``engine.dedup`` orders by it.
 
     Why it is canonical: each choice reads height ranks and over/under
     only.  Only the two branches of a crossing share a height, so a

@@ -67,7 +67,8 @@ def dedup(e: list[Term]) -> list[Term]:
 
     Two terms merge when their diagrams have equal ``dedup_key``s (sign
     tables included, after id renumbering).  Coefficients add.  Output
-    order is by key, making the result independent of input order.
+    order is by key, making the result independent of input order.  The
+    walk does not call it (its memo merges); perfbench wraps it by name.
     """
     buckets: dict[tuple, Term] = {}
     for t in e:
@@ -188,21 +189,22 @@ def _basis_value(
     Depth-first over a stack of frames ``[key, diagram, expansion]``,
     one memo entry per distinct diagram (up to encoding orbit) that is
     not a sorted leaf; the root is keyed like every other node.  Edges
-    of a crossing or sort expansion carry the smoothing or twist
-    coefficients and the node's value is their weighted sum; the edges
-    of a split lead to its layers and the node's value is their
-    product; sorted children enter it through one ``classifier.evaluate``
-    call.  The measure (crossings, then strand passes, then inversions,
-    then components) strictly decreases along every edge, so the walk is
-    finite and the memo acyclic.  A frame drops its diagram once the
-    node has expanded, and the frame itself once the node is valued.  A
-    child already pending lower on the stack is pushed again with the
-    diagram in hand and valued first; the lower frame then finds its key
-    in the memo.  ``max_steps`` caps the expansions of the run, of all
-    three rules together.  ``memo`` maps keys to values already known;
-    it is empty unless the caller passes one.  ``stats`` gets ``nodes``
-    (keyed nodes, the root included), ``values`` (distinct values, one
-    object each), ``leaves`` (sorted children) and the expansions per rule.
+    of a crossing or sort expansion, one per inner child in the rule's
+    order, carry the smoothing or twist coefficients and the node's
+    value is their weighted sum; the edges of a split lead to its layers
+    and the node's value is their product; sorted children enter it
+    through one ``classifier.evaluate`` call.  The measure (crossings,
+    then strand passes, then inversions, then components) strictly
+    decreases along every edge, so the walk is finite and the memo
+    acyclic.  A frame drops its diagram once the node has expanded, and
+    the frame itself once the node is valued.  A key pending twice,
+    lower on the stack or in two siblings, has two frames; the upper one
+    is valued first, and the lower then finds its key in the memo.
+    ``max_steps`` caps the expansions of the run, of all three rules
+    together.  ``memo`` maps keys to values already known; it is empty
+    unless the caller passes one.  ``stats`` gets ``nodes`` (keyed
+    nodes, the root included), ``values`` (distinct values, one object
+    each), ``leaves`` (sorted children) and the expansions per rule.
     Each value new to the run passes ``_check_exponents``.
     """
 
@@ -245,11 +247,8 @@ def _basis_value(
                 (inner if cd.sign_pairs or sorter.sort_state(cd)[1] else leaves).append(ch)
             n_leaves += len(leaves)
             if product:
-                # factors of a product: equal layers are not merged, and
                 # the leaf layers are one term whose value is their product
                 leaves = [Term(one, SkeinDiagram(tuple([c for f in leaves for c in f.diagram.components]), ()))]
-            else:
-                inner = dedup(inner)
             edges = [(ch.coeff, dedup_key(ch.diagram)) for ch in inner]
             pending = [[ck, ch.diagram, None] for ch, (_coeff, ck) in zip(inner, edges) if ck not in memo]
             frame[1:] = None, (product, classifier.evaluate(leaves), edges)

@@ -176,7 +176,8 @@ def tuple_key(d: SkeinDiagram) -> tuple:
 
     The same choices as ``dedup_key``, kept uncached and with integer
     ranks, so that the text key can be checked to split diagrams into
-    the same classes and to order siblings the same way.
+    the same classes and to order siblings the same way, the order in
+    which ``engine.dedup`` returns terms.
     """
     rank = {h: i for i, h in enumerate(sorted({h for c in d.components for h in c.heights}))}
     reversible = not d.sign_pairs

@@ -411,7 +411,8 @@ def walk_keys(inputs, monkeypatch):
 def test_text_key_partitions_and_orders_as_tuple_key(monkeypatch, base):
     """The text key splits every diagram the walk keys into the same
     classes as the tuple key it replaced (``naive.tuple_key``), and
-    sorts the inner children of every expansion in the same order.
+    sorts the inner children of every expansion in the same order, the
+    order ``engine.dedup`` returns; the walk itself does not sort them.
     With a base of 24 the keys of diagrams with more than 24 heights or
     with 8 crossings or more take two digits a value, and the rest one."""
     monkeypatch.setattr(diagram, "_BASE", base)

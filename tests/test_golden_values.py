@@ -11,6 +11,8 @@ The inputs are the fixture documents, the benchmark's braid closure,
 ``random_diagram_with_crossings(11, 10, 10)``.  A refactor that changes
 any value, or the way one is printed, fails here; one that moves work
 between the walk's rules, or adds or saves some, fails the counter check.
+The values must also come out when every rule hands its children to the
+walk in reverse order.
 
 ``PYTHONPATH=src python tests/test_golden_values.py`` rewrites both files
 from the current code.
@@ -21,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from g2skein import parse_diagram
+from g2skein import engine, parse_diagram
 from g2skein.engine import run_pipeline
 from g2skein.oracle import random_diagram, random_diagram_with_crossings
 
@@ -49,8 +51,7 @@ def inputs():
     yield "random_diagram_with_crossings(11,10,10)", random_diagram_with_crossings(11, 10, 10)
 
 
-@functools.cache
-def current_lines():
+def walk_lines():
     """The value lines and the counter lines, from one run per input."""
     values, counters = [], []
     for name, d in inputs():
@@ -58,6 +59,9 @@ def current_lines():
         values.append(f"{name}\t{run_pipeline(d, stats=stats).text()}")
         counters.append(f"{name}\t" + " ".join(f"{k}={stats[k]}" for k in COUNTER_NAMES))
     return values, counters
+
+
+current_lines = functools.cache(walk_lines)
 
 
 def assert_lines_match(path, got, what):
@@ -74,6 +78,24 @@ def test_golden_values():
 
 def test_golden_counters():
     assert_lines_match(COUNTERS, current_lines()[1], "counter lines")
+
+
+def test_child_order_moves_no_value(monkeypatch):
+    """The memo is the walk's only merge: children that share a key are
+    two edges, summed or multiplied where they meet.  Every rule handing
+    its children over in reverse order gives every golden value again,
+    while the walk itself takes another path."""
+    def reversed_children(stage):
+        def spy(t):
+            out = stage(t)
+            return out and (out[0][::-1], out[1])
+        return spy
+
+    for name in ("resolve_stage", "sort_stage", "split_stage"):
+        monkeypatch.setattr(engine, name, reversed_children(getattr(engine, name)))
+    values, counters = walk_lines()
+    assert_lines_match(GOLDEN, values, "values")
+    assert counters != COUNTERS.read_text(encoding="utf-8").splitlines()
 
 
 if __name__ == "__main__":
