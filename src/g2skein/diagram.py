@@ -128,9 +128,9 @@ class SkeinDiagram:
 
     components: tuple[Component, ...]
     sign_pairs: tuple[tuple[int, int], ...]
-    # per-object scratch cache for derived data (canonical key, height
-    # ranks, sort state, clean validation verdict); excluded from equality
-    # and hashing, mutated in place
+    # per-object scratch cache for derived data (height ranks, sort state,
+    # clean validation verdict); excluded from equality and hashing,
+    # mutated in place
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -395,9 +395,6 @@ def dedup_key(d: SkeinDiagram) -> tuple:
     then its under and over branch, so sorting by (ranks, codes) reads
     no crossing id.  Crossings are then numbered by first appearance.
     """
-    cached = d._memo.get("key")
-    if cached is not None:
-        return cached
     rank = height_ranks(d)
     digits = _digits(d, len(rank))
     run = "".join if digits is chr else tuple
@@ -423,6 +420,4 @@ def dedup_key(d: SkeinDiagram) -> tuple:
         for k in codes
     ]) + "\0" + (ranks if digits is chr else "".join(ranks)) + "\0" for ranks, codes in comps])
     signs = dict(d.sign_pairs)
-    key = (text if digits is chr else "\1" + text, tuple([(nid, signs[old]) for old, nid in renumber.items()]))
-    d._memo["key"] = key
-    return key
+    return text if digits is chr else "\1" + text, tuple([(nid, signs[old]) for old, nid in renumber.items()])

@@ -79,14 +79,14 @@ def dedup(e: list[Term]) -> list[Term]:
     return [t for _k, t in sorted(buckets.items()) if t.coeff]
 
 
-def resolve_stage(t: Term) -> tuple[list[Term], dict]:
+def resolve_stage(d: SkeinDiagram) -> tuple[list[Term], dict]:
     """Crossing rule: the two smoothings of the lowest crossing id, with
     its trace record.  To expand the crossings in another order,
     renumber them (``diagram.renumber_crossings``)."""
-    cid, sign = t.diagram.sign_pairs[0]
-    children = list(resolver.resolve_crossing(t))
+    cid, sign = d.sign_pairs[0]
+    children = list(resolver.resolve_crossing(d))
     # a split leaves one component more, a merge one fewer
-    grew = len(children[0].diagram.components) > len(t.diagram.components)
+    grew = len(children[0].diagram.components) > len(d.components)
     record = {
         "stage": "resolve",
         "crossing": cid,
@@ -97,8 +97,8 @@ def resolve_stage(t: Term) -> tuple[list[Term], dict]:
     return children, record
 
 
-def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
-    """Layer rule: the height-separated layers of a crossing-free term,
+def split_stage(d: SkeinDiagram) -> Optional[tuple[list[Term], dict]]:
+    """Layer rule: the height-separated layers of a crossing-free diagram,
     each a factor with coefficient 1, and the trace record; None when
     there is only one layer.
 
@@ -109,7 +109,7 @@ def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
     order of theirs.  A component without passes is a layer of its own,
     ahead of the others.
     """
-    comps = sorted(t.diagram.components, key=lambda c: min(c.heights, default=0))
+    comps = sorted(d.components, key=lambda c: min(c.heights, default=0))
     # each component's pass heights on strand 1 and on strand 2
     on_strand = [([h for k, h in zip(c.codes, c.heights) if not k & 2],
                   [h for k, h in zip(c.codes, c.heights) if k & 2]) for c in comps]
@@ -143,16 +143,15 @@ def split_stage(t: Term) -> Optional[tuple[list[Term], dict]]:
         groups.setdefault(find(i), []).append(c)
     if len(groups) < 2:
         return None
-    one = LaurentPoly.one()
-    factors = [Term(one, SkeinDiagram(tuple(g), ())) for g in groups.values()]
+    factors = [Term(LaurentPoly.one(), SkeinDiagram(tuple(g), ())) for g in groups.values()]
     return factors, {"stage": "split", "groups": len(groups)}
 
 
-def sort_stage(t: Term) -> tuple[list[Term], dict]:
-    """Sort rule: one slide of an unsorted crossing-free term and its
+def sort_stage(d: SkeinDiagram) -> tuple[list[Term], dict]:
+    """Sort rule: one slide of an unsorted crossing-free diagram and its
     trace record."""
-    strand, under, over = sorter.sort_state(t.diagram)[2]
-    return sorter.sort_step(t), {"stage": "sort", "strand": strand, "under": under, "over": over}
+    strand, under, over = sorter.sort_state(d)[1]
+    return sorter.sort_step(d), {"stage": "sort", "strand": strand, "under": under, "over": over}
 
 
 def _check_exponents(value: SkeinPolynomial, crossings: int) -> None:
@@ -188,9 +187,10 @@ def _basis_value(
 
     Depth-first over a stack of frames ``[key, diagram, expansion]``,
     one memo entry per distinct diagram (up to encoding orbit) that is
-    not a sorted leaf; the root is keyed like every other node.  Edges
-    of a crossing or sort expansion, one per inner child in the rule's
-    order, carry the smoothing or twist coefficients and the node's
+    not a sorted leaf; the root is keyed like every other node.  A rule
+    takes the node's diagram and gives each child only its own
+    coefficient.  Edges of a crossing or sort expansion, one per inner
+    child in the rule's order, carry those coefficients and the node's
     value is their weighted sum; the edges of a split lead to its layers
     and the node's value is their product; sorted children enter it
     through one ``classifier.evaluate`` call.  The measure (crossings,
@@ -214,7 +214,7 @@ def _basis_value(
     shared: dict[SkeinPolynomial, SkeinPolynomial] = {}
     root = dedup_key(d0)
     # a sorted root is a leaf, and no rule expands a leaf
-    if root not in memo and not d0.sign_pairs and not sorter.sort_state(d0)[1]:
+    if root not in memo and not d0.sign_pairs and not sorter.sort_state(d0)[0]:
         total = classifier.evaluate([Term(one, d0)])
         _check_exponents(total, 0)
         memo[root] = shared.setdefault(total, total)
@@ -228,12 +228,11 @@ def _basis_value(
             stack.pop()
             continue
         if expansion is None:
-            t = Term(one, d)
             if d.sign_pairs:
-                children, record = resolve_stage(t)
+                children, record = resolve_stage(d)
             else:
                 # one inversion is one slide from sorted: split nothing
-                children, record = sorter.sort_state(d)[1] > 1 and split_stage(t) or sort_stage(t)
+                children, record = sorter.sort_state(d)[0] > 1 and split_stage(d) or sort_stage(d)
             counts[record["stage"]] = counts.get(record["stage"], 0) + 1
             if max_steps is not None and sum(counts.values()) > max_steps:
                 raise StepLimitExceeded(f"the walk needs more than {max_steps} expansions")
@@ -244,7 +243,7 @@ def _basis_value(
             leaves, inner = [], []
             for ch in children:
                 cd = ch.diagram
-                (inner if cd.sign_pairs or sorter.sort_state(cd)[1] else leaves).append(ch)
+                (inner if cd.sign_pairs or sorter.sort_state(cd)[0] else leaves).append(ch)
             n_leaves += len(leaves)
             if product:
                 # the leaf layers are one term whose value is their product

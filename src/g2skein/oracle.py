@@ -33,6 +33,7 @@ from math import cos, pi, sin
 from typing import Optional
 
 from .diagram import (
+    _REGIONS,
     Component,
     SkeinDiagram,
     crossing_code,
@@ -63,10 +64,6 @@ __all__ = [
 CONFLUENCE_MAX_CROSSINGS = 5
 
 _NEXT_REGION = {"L": ["M"], "R": ["M"], "M": ["L", "R"]}
-
-# the front code of the strand pass a region transition makes (see
-# ``diagram``); the pass behind the strand has the code | 4
-_TRANSITION = {("L", "M"): 0, ("M", "L"): 1, ("M", "R"): 2, ("R", "M"): 3}
 
 # the order of the strand passes around each region's boundary: strand 1
 # upward in L and downward in M, then strand 2 upward in M and downward
@@ -124,7 +121,7 @@ def _build_attempt(rng: random.Random, max_components: int) -> Optional[SkeinDia
     codes: dict[tuple[int, int], int] = {}
     for ci, walk in enumerate(walks):
         for k in range(len(walk) - 1):
-            front = _TRANSITION[walk[k], walk[k + 1]]
+            front = _REGIONS.index(walk[k] + walk[k + 1])
             codes[(ci, k)] = front if rng.random() < 0.5 else front | 4
     order = list(codes)
     # sorting cost grows steeply with the number of height inversions, so
@@ -137,7 +134,7 @@ def _build_attempt(rng: random.Random, max_components: int) -> Optional[SkeinDia
     best_inv: Optional[int] = None
     for _ in range(30):
         rng.shuffle(pool)
-        inv = sort_state(SkeinDiagram((Component(passes, tuple(pool)),), ()))[1]
+        inv = sort_state(SkeinDiagram((Component(passes, tuple(pool)),), ()))[0]
         if best_inv is None or inv < best_inv:
             best_inv, best_pool = inv, list(pool)
         if best_inv <= 10:
@@ -325,7 +322,9 @@ def _with_kink(d: SkeinDiagram, sign: int, over_first: bool) -> SkeinDiagram:
 
 def check_framing(d: SkeinDiagram) -> Optional[dict]:
     """A kink of sign s must multiply the value by -t^(3 s), whichever of
-    its branches comes first."""
+    its branches comes first; None when there is no curve to kink."""
+    if not d.components:
+        return None
     base = engine.run_pipeline(d)
     cases = (
         (

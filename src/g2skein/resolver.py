@@ -1,4 +1,4 @@
-"""Crossing resolution: replace a term by the two smoothings of one crossing.
+"""Crossing resolution: the two smoothings of one crossing of a diagram.
 
 With the two branches of the crossing at positions j1 < j2 (both dropped
 by every smoothing), the paper's four array operators are slices of a
@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 
 from .diagram import Component, SkeinDiagram, Term, crossing_code, reverse_component
 from .errors import InternalInvariantError
+from .laurent import LaurentPoly
 
 __all__ = ["smoothings", "resolve_crossing", "update_signs_on_reversal"]
 
@@ -90,9 +91,10 @@ def smoothings(
     return (first, others, sign), (second, flipped, -sign)
 
 
-def resolve_crossing(t: Term) -> tuple[Term, Term]:
-    """Smooth the lowest crossing; returns (split-or-forward, reversed) children."""
+def resolve_crossing(d: SkeinDiagram) -> tuple[Term, Term]:
+    """Smooth the lowest crossing; returns (split-or-forward, reversed)
+    children, each with its own coefficient t^(+-1)."""
     return tuple(
-        Term(t.coeff.shift(exp), SkeinDiagram(comps, pairs))
-        for comps, pairs, exp in smoothings(t.diagram.components, t.diagram.sign_pairs)
+        Term(LaurentPoly.monomial(exp), SkeinDiagram(comps, pairs))
+        for comps, pairs, exp in smoothings(d.components, d.sign_pairs)
     )

@@ -1,12 +1,12 @@
-"""Strand sorting: drive every term into the basis-readable form.
+"""Strand sorting: drive every diagram into the basis-readable form.
 
-A crossing-free term is "sorted" on a strand when every front pass
+A crossing-free diagram is "sorted" on a strand when every front pass
 sits below every behind pass there.  One scan of a diagram,
-``sort_state``, cached on it, gives its strand passes, its inversions
-and the slide to make next; the walk's leaf test, the sort rule and the
-progress monitor all read that one state.  Sorting repeatedly picks the
-lowest offending (front, behind) height pair, slides the two passes
-past each other (swapping their heights), and pays for the slide by
+``sort_state``, cached on it, gives its inversions and the slide to
+make next; the walk's leaf test, the sort rule and the progress monitor
+all read that one state.  Sorting repeatedly picks the lowest
+offending (front, behind) height pair, slides the two passes past each
+other (swapping their heights), and pays for the slide by
 inserting the self-crossings the move creates, which are resolved on
 the spot.  Two adjacent passes cost one crossing (a twist); separated
 passes cost a pair of opposite crossings.  A slide is one pass over the
@@ -25,7 +25,6 @@ it, and ``k & 1`` is set when the pass runs right to left.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
-from typing import Optional
 
 from . import resolver
 from .diagram import Component, SkeinDiagram, Term, crossing_code, height_ranks, rotate_component
@@ -36,7 +35,7 @@ __all__ = ["sort_state", "induce_crossings", "sort_step"]
 
 
 def sort_state(d: SkeinDiagram) -> tuple:
-    """``(strand passes, inversions, slide)`` of a diagram, cached on it.
+    """``(inversions, slide)`` of a diagram, cached on it.
 
     Inversions are the (front, behind) height pairs in the wrong order,
     both strands pooled across every component.  ``slide`` is ``(strand,
@@ -64,28 +63,27 @@ def sort_state(d: SkeinDiagram) -> tuple:
             k = bisect(over, under[0])
             if k < len(over):
                 slide = (strand, under[bisect(under, over[k]) - 1], over[k])
-    state = d._memo["sort"] = (sum(map(len, pools)), inversions, slide)
+    state = d._memo["sort"] = (inversions, slide)
     return state
 
 
 # ---------------------------------------------------------------------------
 # crossing induction
 
-def induce_crossings(t: Term, a: int, c: int) -> Term:
+def induce_crossings(d: SkeinDiagram, a: int, c: int) -> Term:
     """Swap the heights of the behind pass at a and front pass at c, and
     insert the self-crossings that pay for the slide.
 
     Adjacent passes on one component (including across the traversal
-    seam) get a single twist crossing, with the term coefficient scaled
-    by the twist compensation -t^(-3 sign); everything else gets a
-    cancelling crossing pair on the two sides of the strand.  New
-    branches carry placeholder height 0; the sign table of the result
+    seam) get a single twist crossing, and the term the coefficient
+    -t^(-3 sign) that compensates it; everything else gets a cancelling
+    crossing pair on the two sides of the strand, and the coefficient 1.
+    New branches carry placeholder height 0; the sign table of the result
     holds exactly the new crossings.  One scan finds both passes, and
     each touched component is rebuilt once per flanked section.
     """
-    d = t.diagram
     if d.sign_pairs:
-        raise InternalInvariantError("crossing induction on an unresolved term")
+        raise InternalInvariantError("crossing induction on an unresolved diagram")
     if not a < c:
         raise InternalInvariantError(f"swap pair out of order: {a} >= {c}")
     comps = list(d.components)
@@ -113,7 +111,7 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
         # (component, start, end, branch before, branch after) of a section
         flanks = [(la, first, first + 2, crossing_code(1, first == jc), crossing_code(1, first != jc))]
         new_pairs = ((1, eps),)
-        coeff = t.coeff * LaurentPoly.monomial(-3 * eps, -1)
+        coeff = LaurentPoly.monomial(-3 * eps, -1)
     else:
         eps1 = 1 if ka & 1 == kc & 1 else -1
         new_pairs = ((1, eps1), (2, -eps1))
@@ -122,7 +120,7 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
             # going right to left, crossing 2 comes before the pass
             ids = (2, 1) if k & 1 else (1, 2)
             flanks.append((li, j, j + 1, crossing_code(ids[0], over), crossing_code(ids[1], over)))
-        coeff = t.coeff
+        coeff = LaurentPoly.one()
 
     swap = {a: c, c: a}
     # later sections first, so that earlier positions stay put
@@ -138,8 +136,8 @@ def induce_crossings(t: Term, a: int, c: int) -> Term:
 # ---------------------------------------------------------------------------
 # the sorting loop
 
-def sort_step(t: Term) -> Optional[list[Term]]:
-    """One slide on the first unsorted strand; None when nothing to do.
+def sort_step(d: SkeinDiagram) -> list[Term]:
+    """One slide on the first unsorted strand of an unsorted diagram.
 
     The resolver smooths the induced crossings lowest id first.  A slide
     keeps the set of heights, so the children share the parent's height
@@ -148,14 +146,13 @@ def sort_step(t: Term) -> Optional[list[Term]]:
     so every child must come back with exactly one inversion fewer than
     the parent, otherwise the progress monitor aborts.
     """
-    d = t.diagram
     if d.sign_pairs:
         raise InternalInvariantError("sorting requires all crossings resolved")
-    inversions, slide = sort_state(d)[1:]
+    inversions, slide = sort_state(d)
     if slide is None:
-        return None
+        raise InternalInvariantError("sorting step on a sorted diagram")
 
-    staged = induce_crossings(t, slide[1], slide[2])
+    staged = induce_crossings(d, slide[1], slide[2])
     states = [(staged.diagram.components, staged.diagram.sign_pairs, 0)]
     for _ in staged.diagram.sign_pairs:
         states = [
@@ -170,7 +167,7 @@ def sort_step(t: Term) -> Optional[list[Term]]:
     ]
 
     for child in children:
-        found = sort_state(child.diagram)[1]
+        found = sort_state(child.diagram)[0]
         if found != inversions - 1:
             raise InternalInvariantError(f"sorting step made no progress: {inversions} -> {found} inversions")
     return children

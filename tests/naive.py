@@ -17,6 +17,11 @@ from g2skein.laurent import LaurentPoly
 from g2skein.resolver import resolve_crossing
 
 
+def scaled(coeff: LaurentPoly, children) -> list[Term]:
+    """The children of a rule, each times the coefficient of its parent."""
+    return [Term(coeff * child.coeff, child.diagram) for child in children]
+
+
 def resolve_all(e: list[Term]) -> list[Term]:
     """Resolve every crossing of every term; no deduplication here.
 
@@ -31,12 +36,12 @@ def resolve_all(e: list[Term]) -> list[Term]:
         if not t.diagram.sign_pairs:
             out.append(t)
             continue
-        stack.extend(resolve_crossing(t))
+        stack.extend(scaled(t.coeff, resolve_crossing(t.diagram)))
     out.reverse()
     return out
 
 
-def slide(t: Term, a: int, c: int) -> Term:
+def slide(d: SkeinDiagram, a: int, c: int) -> Term:
     """What ``sorter.induce_crossings`` must return: the behind pass at
     height a and the front pass at c trade heights, and branches of new
     crossings (placeholder height 0) are inserted entry by entry.
@@ -47,9 +52,10 @@ def slide(t: Term, a: int, c: int) -> Term:
     first of the two runs right to left.  Otherwise each pass is
     flanked by branches of crossings 1 and 2 (2 first when it runs right
     to left), over branches around the front pass, with signs eps and
-    -eps, eps = +1 when both passes run the same way.
+    -eps, eps = +1 when both passes run the same way, and the
+    coefficient 1.
     """
-    rows = [list(zip(comp.codes, comp.heights)) for comp in t.diagram.components]
+    rows = [list(zip(comp.codes, comp.heights)) for comp in d.components]
     spot = {h: (li, j) for li, row in enumerate(rows) for j, (_k, h) in enumerate(row)}
     (la, ja), (lc, jc) = spot[a], spot[c]
     ka, kc = rows[la][ja][0], rows[lc][jc][0]
@@ -64,12 +70,12 @@ def slide(t: Term, a: int, c: int) -> Term:
         eps = 1 if row[first][0] & 1 else -1
         row.insert(first + 2, (crossing_code(1, first != jc), 0))
         row.insert(first, (crossing_code(1, first == jc), 0))
-        return Term(t.coeff * LaurentPoly.monomial(-3 * eps, -1), from_rows(rows, ((1, eps),)))
+        return Term(LaurentPoly.monomial(-3 * eps, -1), from_rows(rows, ((1, eps),)))
     eps = 1 if ka & 1 == kc & 1 else -1
     for li, j, k, over in sorted([(la, ja, ka, False), (lc, jc, kc, True)], reverse=True):
         before, after = (2, 1) if k & 1 else (1, 2)
         rows[li][j : j + 1] = [(crossing_code(before, over), 0), rows[li][j], (crossing_code(after, over), 0)]
-    return Term(t.coeff, from_rows(rows, ((1, eps), (2, -eps))))
+    return Term(LaurentPoly.one(), from_rows(rows, ((1, eps), (2, -eps))))
 
 
 def from_rows(rows, sign_pairs) -> SkeinDiagram:
@@ -79,12 +85,12 @@ def from_rows(rows, sign_pairs) -> SkeinDiagram:
 
 
 def sort_state(d: SkeinDiagram) -> tuple:
-    """What ``sorter.sort_state`` must return: the number of strand
-    passes, the number of (front, behind) pairs on one strand with the
-    front pass higher, and the slide ``(strand, under, over)`` on the
-    first strand that has such a pair: the lowest front pass above the
-    lowest behind pass, and the highest behind pass below that front
-    pass; None when there is no such pair."""
+    """What ``sorter.sort_state`` must return: the number of (front,
+    behind) pairs on one strand with the front pass higher, and the
+    slide ``(strand, under, over)`` on the first strand that has such a
+    pair: the lowest front pass above the lowest behind pass, and the
+    highest behind pass below that front pass; None when there is no
+    such pair."""
     passes = [(k >> 1, h) for c in d.components for k, h in zip(c.codes, c.heights) if k >= 0]
     inversions = 0
     chosen = None
@@ -96,18 +102,19 @@ def sort_state(d: SkeinDiagram) -> tuple:
         if pairs and chosen is None:
             over = min(f for f in front if f > min(behind))
             chosen = (strand, max(b for b in behind if b < over), over)
-    return len(passes), inversions, chosen
+    return inversions, chosen
 
 
 def sort_children(t: Term) -> Optional[list[Term]]:
     """The children of one sort step: the slide, then ``resolve_crossing``
-    once per induced crossing, lowest id first; None when sorted."""
-    chosen = sort_state(t.diagram)[2]
+    once per induced crossing, lowest id first, each child times the
+    coefficient of the term it came from; None when sorted."""
+    chosen = sort_state(t.diagram)[1]
     if chosen is None:
         return None
-    pending = [slide(t, chosen[1], chosen[2])]
+    pending = scaled(t.coeff, [slide(t.diagram, chosen[1], chosen[2])])
     for _ in pending[0].diagram.sign_pairs:
-        pending = [child for term in pending for child in resolve_crossing(term)]
+        pending = [child for term in pending for child in scaled(term.coeff, resolve_crossing(term.diagram))]
     return pending
 
 
@@ -174,10 +181,10 @@ def tuple_key(d: SkeinDiagram) -> tuple:
     """``dedup_key`` as nested tuples: ``((codes, ranks), ...)`` with
     integer codes and ranks, then the renumbered sign pairs.
 
-    The same choices as ``dedup_key``, kept uncached and with integer
-    ranks, so that the text key can be checked to split diagrams into
-    the same classes and to order siblings the same way, the order in
-    which ``engine.dedup`` returns terms.
+    The same choices as ``dedup_key``, with integer ranks, so that the
+    text key can be checked to split diagrams into the same classes and
+    to order siblings the same way, the order in which ``engine.dedup``
+    returns terms.
     """
     rank = {h: i for i, h in enumerate(sorted({h for c in d.components for h in c.heights}))}
     reversible = not d.sign_pairs

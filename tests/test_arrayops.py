@@ -12,9 +12,8 @@ import json
 
 from hypothesis import given, strategies as st
 
-from g2skein import Term, parse_diagram, serialize_diagram, validate
+from g2skein import parse_diagram, serialize_diagram, validate
 from g2skein.diagram import Component, SkeinDiagram, pass_code, pass_token, renumber_crossings, reverse_component
-from g2skein.laurent import LaurentPoly
 from g2skein.oracle import random_diagram
 from g2skein.resolver import resolve_crossing, update_signs_on_reversal
 
@@ -27,8 +26,7 @@ def codes(*tokens):
 
 def children(doc):
     """The two smoothings of the lowest crossing as component documents."""
-    t = Term(LaurentPoly.one(), parse_diagram(json.dumps(doc)))
-    pair = resolve_crossing(t)
+    pair = resolve_crossing(parse_diagram(json.dumps(doc)))
     return [json.loads(serialize_diagram(ch.diagram))["components"] for ch in pair]
 
 
@@ -134,7 +132,7 @@ def check_conservation(seed, same_component):
         assert len(carriers) == 2
         if (carriers[0] == carriers[1]) != same_component:
             continue
-        first, second = resolve_crossing(Term(LaurentPoly.one(), d))
+        first, second = resolve_crossing(d)
         # the split or forward child keeps every other code and height
         assert pairs(first.diagram) == pairs(d, branches)
         # the reversed child keeps every pass and height, directions aside

@@ -392,9 +392,9 @@ def walk_keys(inputs, monkeypatch):
         return dedup_key(d)
 
     def sibling_spy(stage):
-        def spy(t):
-            children, record = stage(t)
-            siblings.append([ch.diagram for ch in children if ch.diagram.sign_pairs or sort_state(ch.diagram)[1]])
+        def spy(d):
+            children, record = stage(d)
+            siblings.append([ch.diagram for ch in children if ch.diagram.sign_pairs or sort_state(ch.diagram)[0]])
             return children, record
         return spy
 

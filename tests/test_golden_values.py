@@ -86,8 +86,8 @@ def test_child_order_moves_no_value(monkeypatch):
     its children over in reverse order gives every golden value again,
     while the walk itself takes another path."""
     def reversed_children(stage):
-        def spy(t):
-            out = stage(t)
+        def spy(d):
+            out = stage(d)
             return out and (out[0][::-1], out[1])
         return spy
 

@@ -137,8 +137,8 @@ def test_generated_states_stay_drawable():
         while stack:
             t = stack.pop()
             assert_drawable(t.diagram)
-            if sort_state(t.diagram)[1]:
-                stack.extend(sort_step(t))
+            if sort_state(t.diagram)[0]:
+                stack.extend(sort_step(t.diagram))
 
 
 def test_confluence_check_passes_on_fixture(two_crossing):
@@ -156,6 +156,14 @@ def test_framing_check_passes_on_generated_diagrams():
     for seed in range(20):
         d = random_diagram(seed, max_components=2, max_self_crossings=3)
         assert check_framing(d) is None, f"seed {seed}"
+
+
+def test_checks_pass_on_a_diagram_without_components():
+    # there is no crossing to reorder, no curve to re-encode and none to kink
+    d = random_diagram(0, 0)
+    assert d.components == ()
+    for check in (check_confluence, check_encoding_invariance, check_framing):
+        assert check(d) is None, check.__name__
 
 
 def test_repro_text_round_trips(two_crossing):

@@ -14,12 +14,8 @@ from conftest import doc_text
 from naive import resolve_all
 
 
-def one_term(d):
-    return Term(coeff=LaurentPoly.one(), diagram=d)
-
-
 def test_resolve_negative_crossing_children_exact(two_crossing):
-    first, second = resolve_crossing(one_term(two_crossing))
+    first, second = resolve_crossing(two_crossing)
 
     # negative crossing: the split child picks up 1/t
     assert first.coeff == LaurentPoly.monomial(-1)
@@ -58,7 +54,7 @@ def test_resolve_positive_crossing_children_exact(two_crossing):
     # crossing 2, renumbered to be the lowest: its branches are entries 4
     # and 7, and the section between them is entries 5 and 6
     d = renumber_crossings(two_crossing, {1: 2, 2: 1})
-    first, second = resolve_crossing(one_term(d))
+    first, second = resolve_crossing(d)
 
     # positive crossing: the split child picks up t
     assert first.coeff == LaurentPoly.monomial(1)
@@ -102,7 +98,7 @@ def test_resolve_inter_component_crossing():
         "U": {"1": 1},
     }
     d = parse_diagram(json.dumps(doc))
-    first, second = resolve_crossing(one_term(d))
+    first, second = resolve_crossing(d)
     # both smoothings join the two cycles into one
     assert len(first.diagram.components) == 1
     assert len(second.diagram.components) == 1
@@ -117,28 +113,28 @@ def test_resolve_inter_component_crossing():
 
 def test_resolve_missing_crossing(unknot):
     with pytest.raises(InternalInvariantError, match="no crossing to smooth"):
-        resolve_crossing(one_term(unknot))
+        resolve_crossing(unknot)
     # a crossing in the sign table but not on the components
     with pytest.raises(InternalInvariantError, match="crossing 9 has 0 branches, expected 2"):
-        resolve_crossing(one_term(SkeinDiagram(unknot.components, ((9, 1),))))
+        resolve_crossing(SkeinDiagram(unknot.components, ((9, 1),)))
 
 
 def test_resolve_all_counts(two_crossing, two_component, unknot):
-    assert len(resolve_all([one_term(two_crossing)])) == 4
-    assert len(resolve_all([one_term(two_component)])) == 8
-    assert len(resolve_all([one_term(unknot)])) == 1
+    assert len(resolve_all([Term(LaurentPoly.one(), two_crossing)])) == 4
+    assert len(resolve_all([Term(LaurentPoly.one(), two_component)])) == 8
+    assert len(resolve_all([Term(LaurentPoly.one(), unknot)])) == 1
 
 
 def test_resolve_all_leaves_no_crossings(two_component):
-    for t in resolve_all([one_term(two_component)]):
+    for t in resolve_all([Term(LaurentPoly.one(), two_component)]):
         assert t.diagram.sign_pairs == ()
         assert validate(t.diagram) == []
 
 
 def test_resolve_all_respects_order(two_crossing):
-    default = resolve_all([one_term(two_crossing)])
+    default = resolve_all([Term(LaurentPoly.one(), two_crossing)])
     # numbering the crossings the other way round resolves them in the other order
-    flipped = resolve_all([one_term(renumber_crossings(two_crossing, {1: 2, 2: 1}))])
+    flipped = resolve_all([Term(LaurentPoly.one(), renumber_crossings(two_crossing, {1: 2, 2: 1}))])
     assert len(default) == len(flipped) == 4
     # neither sign flips under the other's reversal here, so the leaf
     # coefficients agree as a multiset even though the arrays differ
@@ -151,7 +147,7 @@ def test_resolve_all_respects_order(two_crossing):
 
 
 def test_kink_resolution_shapes(kink_pos):
-    first, second = resolve_crossing(one_term(kink_pos))
+    first, second = resolve_crossing(kink_pos)
     # splitting a kink leaves the loop plus a detached circle
     assert len(first.diagram.components) == 2
     assert all(not c.codes for c in first.diagram.components)

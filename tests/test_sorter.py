@@ -3,7 +3,7 @@
 The one substantive law here is that a sort step never changes the
 value a term contributes: the induced crossings resolve straight back
 into the rearranged curve with compensating coefficients.  The sort
-state (strand passes, inversions, next slide) is checked on small cases
+state (inversions, next slide) is checked on small cases
 here and against ``naive.sort_state`` on every slide of a walk.
 """
 
@@ -30,10 +30,6 @@ def parse(doc):
     return parse_diagram(json.dumps(doc))
 
 
-def term(d):
-    return Term(coeff=LaurentPoly.one(), diagram=d)
-
-
 def strand_passes(front, behind, strand=1):
     """Bare strand passes at the given heights; only ``sort_state`` reads them."""
     codes = [pass_code(f"O{strand}", 4)] * len(front) + [pass_code(f"U{strand}", 4)] * len(behind)
@@ -42,10 +38,10 @@ def strand_passes(front, behind, strand=1):
 
 def test_partition_pools_across_components():
     d = parse({"components": [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}], "U": {}})
-    assert sort_state(d) == (2, 0, None)
+    assert sort_state(d) == (0, None)
 
     d2 = parse({"components": [{"E": ["O1", "U1", "O1", "U1"], "I": [1, 2, 3, 4], "Q": [3, 4, 3, 4]}], "U": {}})
-    assert sort_state(d2) == (4, 1, (1, 2, 3))
+    assert sort_state(d2) == (1, (1, 2, 3))
 
     d3 = parse({
         "components": [
@@ -54,35 +50,35 @@ def test_partition_pools_across_components():
         ],
         "U": {},
     })
-    assert sort_state(d3) == (4, 1, (1, 2, 3))
+    assert sort_state(d3) == (1, (1, 2, 3))
 
 
 def test_is_sorted_needs_all_front_below_all_behind():
     sorted_d = parse({"components": [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}], "U": {}})
-    assert sort_state(sorted_d) == (2, 0, None)
+    assert sort_state(sorted_d) == (0, None)
     inverted = parse({"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}})
-    assert sort_state(inverted) == (2, 1, (1, 1, 2))
+    assert sort_state(inverted) == (1, (1, 1, 2))
     empty = parse({"components": [{"E": [], "I": [], "Q": []}], "U": {}})
-    assert sort_state(empty) == (0, 0, None)
+    assert sort_state(empty) == (0, None)
 
 
 def test_sort_state_slide_examples():
     def state(*comps):
         return sort_state(SkeinDiagram(comps, ()))
 
-    assert state(strand_passes((1, 4), (2, 3))) == (4, 2, (1, 3, 4))
-    assert state(strand_passes((1, 3), (2, 4))) == (4, 1, (1, 2, 3))
-    assert state(strand_passes((1, 2), (3, 4))) == (4, 0, None)
-    assert state(strand_passes((), (1,))) == (1, 0, None)
+    assert state(strand_passes((1, 4), (2, 3))) == (2, (1, 3, 4))
+    assert state(strand_passes((1, 3), (2, 4))) == (1, (1, 2, 3))
+    assert state(strand_passes((1, 2), (3, 4))) == (0, None)
+    assert state(strand_passes((), (1,))) == (0, None)
     # strand 1 is sorted, so the slide is on strand 2; strand 1 goes first
-    assert state(strand_passes((1,), (5,)), strand_passes((4,), (2, 3), 2)) == (5, 2, (2, 3, 4))
-    assert state(strand_passes((6,), (5,)), strand_passes((4,), (3,), 2)) == (4, 2, (1, 5, 6))
+    assert state(strand_passes((1,), (5,)), strand_passes((4,), (2, 3), 2)) == (2, (2, 3, 4))
+    assert state(strand_passes((6,), (5,)), strand_passes((4,), (3,), 2)) == (2, (1, 5, 6))
 
 
 def test_single_twist_insertion():
     d = parse({"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}})
-    assert sort_state(d)[2] == (1, 1, 2)
-    t2 = induce_crossings(term(d), 1, 2)
+    assert sort_state(d)[1] == (1, 1, 2)
+    t2 = induce_crossings(d, 1, 2)
     obj = json.loads(serialize_diagram(t2.diagram))
     assert obj["components"][0]["E"] == ["X+1", "O1", "U1", "X-1"]
     assert obj["components"][0]["I"] == [0, 1, 2, 0]
@@ -99,8 +95,8 @@ def test_crossing_pair_insertion_across_components():
         ],
         "U": {},
     })
-    assert sort_state(d)[2] == (1, 2, 3)
-    t2 = induce_crossings(term(d), 2, 3)
+    assert sort_state(d)[1] == (1, 2, 3)
+    t2 = induce_crossings(d, 2, 3)
     obj = json.loads(serialize_diagram(t2.diagram))
     # two fresh crossings with opposite signs, no coefficient paid
     assert t2.coeff == LaurentPoly.one()
@@ -112,18 +108,19 @@ def test_crossing_pair_insertion_across_components():
     assert obj["components"][1]["I"].count(3) == 1
 
 
-def test_sort_step_returns_none_once_sorted(y_neg):
+def test_sort_step_refuses_a_sorted_diagram():
     d = parse({"components": [{"E": ["O1", "U1"], "I": [1, 2], "Q": [3, 4]}], "U": {}})
-    assert sort_step(term(d)) is None
+    with pytest.raises(InternalInvariantError, match="sorted diagram"):
+        sort_step(d)
 
 
 def test_progress_monitor_fires(monkeypatch):
     """A slide whose children keep the parent's passes and inversions is
     refused: here the induced crossings are left out altogether."""
     d = parse({"components": [{"E": ["O1", "U1"], "I": [2, 1], "Q": [3, 4]}], "U": {}})
-    monkeypatch.setattr(sorter, "induce_crossings", lambda t, a, c: t)
+    monkeypatch.setattr(sorter, "induce_crossings", lambda d, a, c: Term(LaurentPoly.one(), d))
     with pytest.raises(InternalInvariantError, match="made no progress"):
-        sort_step(term(d))
+        sort_step(d)
 
 
 def test_progress_monitor_wants_exactly_one_inversion_fewer(monkeypatch):
@@ -131,18 +128,18 @@ def test_progress_monitor_wants_exactly_one_inversion_fewer(monkeypatch):
     instead of its neighbour in height 3, still lowers the inversions, but
     by two: the monitor refuses it."""
     d = parse({"components": [{"E": ["O1", "U1", "O1", "U1"], "I": [5, 1, 6, 3], "Q": [3, 4, 3, 4]}], "U": {}})
-    assert sort_state(d) == (4, 4, (1, 3, 5))
+    assert sort_state(d) == (4, (1, 3, 5))
     real = sorter.induce_crossings
-    monkeypatch.setattr(sorter, "induce_crossings", lambda t, a, c: real(t, 1, c))
+    monkeypatch.setattr(sorter, "induce_crossings", lambda d, a, c: real(d, 1, c))
     with pytest.raises(InternalInvariantError, match="made no progress"):
-        sort_step(term(d))
+        sort_step(d)
 
 
 def test_sort_expression_structure():
     d = parse({"components": [{"E": ["O1", "U1", "O1", "U1"], "I": [1, 2, 3, 4], "Q": [3, 4, 3, 4]}], "U": {}})
-    out = sort_expression([term(d)])
+    out = sort_expression([Term(LaurentPoly.one(), d)])
     assert len(out) == 2
-    assert all(sort_state(t.diagram)[1] == 0 for t in out)
+    assert all(sort_state(t.diagram)[0] == 0 for t in out)
     coeffs = sorted(t.coeff.text() for t in out)
     assert coeffs == ["-1*t^-2", "-1*t^-4"]
 
@@ -166,12 +163,12 @@ def test_sort_step_preserves_value():
     checked = 0
     for seed in range(30):
         d = random_diagram(seed, max_components=2, max_self_crossings=2)
-        for t in resolve_all([term(d)]):
-            if sort_state(t.diagram)[1] == 0:
+        for t in resolve_all([Term(LaurentPoly.one(), d)]):
+            if sort_state(t.diagram)[0] == 0:
                 continue
-            children = sort_step(t)
+            children = sort_step(t.diagram)
             assert children
-            expected = run_pipeline(t.diagram).scaled(t.coeff)
+            expected = run_pipeline(t.diagram)
             got = None
             for child in children:
                 part = run_pipeline(child.diagram).scaled(child.coeff)
@@ -194,9 +191,9 @@ def test_sort_step_matches_naive_composition(monkeypatch):
     parents = []
     real = sorter.sort_step
 
-    def spy(t):
-        parents.append(t)
-        return real(t)
+    def spy(d):
+        parents.append(d)
+        return real(d)
 
     monkeypatch.setattr(sorter, "sort_step", spy)
     expanded = 0
@@ -215,15 +212,15 @@ def test_sort_step_matches_naive_composition(monkeypatch):
         return Counter((dedup_key(ch.diagram), ch.coeff) for ch in children)
 
     twists = 0
-    for t in parents:
-        state = sort_state(t.diagram)
-        assert state == naive.sort_state(t.diagram)
-        _strand, under, over = state[2]
-        staged = induce_crossings(t, under, over)
-        assert staged == naive.slide(t, under, over)
+    for d in parents:
+        state = sort_state(d)
+        assert state == naive.sort_state(d)
+        _strand, under, over = state[1]
+        staged = induce_crossings(d, under, over)
+        assert staged == naive.slide(d, under, over)
         twists += len(staged.diagram.sign_pairs) == 1
-        children = real(t)
+        children = real(d)
         for child in children:
             assert sort_state(child.diagram) == naive.sort_state(child.diagram)
-        assert multiset(children) == multiset(naive.sort_children(t))
+        assert multiset(children) == multiset(naive.sort_children(Term(LaurentPoly.one(), d)))
     assert 0 < twists < len(parents)
