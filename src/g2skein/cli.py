@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 unreadable or invalid input, an unwritable
 file or a usage error, 2 a bug (any other exception, or a fuzz
-counterexample), 3 expansion budget (``--max-steps``) exceeded or out
-of memory, 130 interrupted (Ctrl-C).
+counterexample), 3 expansion budget (``--max-steps``, 5,000,000 by
+default) exceeded or out of memory, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve", help="run the full pipeline on a diagram file")
     p.add_argument("file")
-    p.add_argument("--max-steps", type=_count, default=None, help="cap on expansions per run, all rules together")
+    p.add_argument("--max-steps", type=_count, default=5_000_000,
+                   help="cap on expansions per run, all rules together (default: 5,000,000)")
     p.add_argument("--trace", help="write a line-delimited step trace to this file")
     p.add_argument("--output", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_resolve)

@@ -67,6 +67,7 @@ __all__ = [
     "reverse_component",
     "relabel_heights",
     "renumber_crossings",
+    "strand_passes",
     "height_ranks",
     "dedup_key",
 ]
@@ -128,9 +129,9 @@ class SkeinDiagram:
 
     components: tuple[Component, ...]
     sign_pairs: tuple[tuple[int, int], ...]
-    # per-object scratch cache for derived data (height ranks, sort state,
-    # clean validation verdict); excluded from equality and hashing,
-    # mutated in place
+    # per-object scratch cache for derived data (strand passes, height
+    # ranks, sort state, clean validation verdict); excluded from equality
+    # and hashing, mutated in place
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -364,6 +365,20 @@ def _digits(d: SkeinDiagram, n_heights: int):
     if max(n_heights, 2 * len(d.sign_pairs) + 10) <= _BASE:
         return chr
     return lambda v: chr(v // _BASE + 1) + chr(v % _BASE + 1)
+
+
+def strand_passes(d: SkeinDiagram) -> tuple[list[tuple[int, int, int, int]], ...]:
+    """Strand 1's passes and strand 2's, each bottom to top as ``(height,
+    component, entry, code)``, crossing branches left out; cached on ``d``."""
+    table = d._memo.get("passes")
+    if table is None:
+        rows: tuple[list, list] = ([], [])
+        for li, c in enumerate(d.components):
+            for j, (k, h) in enumerate(zip(c.codes, c.heights)):
+                if k >= 0:
+                    rows[k >> 1 & 1].append((h, li, j, k))
+        table = d._memo["passes"] = (sorted(rows[0]), sorted(rows[1]))
+    return table
 
 
 def height_ranks(d: SkeinDiagram) -> dict[int, str]:

@@ -6,7 +6,9 @@ into its two smoothings (the crossing rule, ``resolve_stage``); an
 unsorted crossing-free node with two or more inversions is split into
 height layers when it has more than one (the layer rule,
 ``split_stage``); otherwise an unsorted crossing-free node expands by
-one sorting slide (the sort rule, ``sort_stage``).  A sorted
+one sorting slide (the sort rule, ``sort_stage``).  Both rules, and the
+leaf test, read a diagram's strand passes from one table,
+``diagram.strand_passes``, built once per diagram.  A sorted
 crossing-free child is a leaf: its parent hands all its leaves to one
 classifier call and never keys them, since classifying costs less than
 keying.  Every other node, the root included, is valued once per run:
@@ -29,18 +31,18 @@ the boundary.  L borders strand 1, R borders strand 2, and M's boundary
 runs up strand 1 and down strand 2, so the order of the passes along
 each strand fixes the diagram: moving strand 1's passes up or down past
 strand 2's is an isotopy as long as each strand keeps its own order.
-Merge two groups of components whenever their height intervals overlap
-on strand 1 or on strand 2, until none do.  Then each group's passes
-form one run on each strand, and the runs can be stacked into height
-bands one per group, unless two groups lie in opposite orders on the
-two strands.  That cannot happen: two groups on both strands each have
-an arc in M from strand 1 to strand 2, and those arcs would cross.
-Level planes then separate the groups, and the value is the product of
-the groups' values.  A component without passes is a trivial loop that
-shrinks into any band, so it is a group of its own.  The walk tries the
-rule only on nodes with at least two inversions: a node with one is one
-slide from sorted, all that slide's children are leaves, and a split
-would only add a node.
+Merge two groups of components whenever their spans, first pass to
+last, overlap on strand 1 or on strand 2, until none do.  Then each
+group's passes form one run on each strand, and the runs can be stacked
+into height bands one per group, unless two groups lie in opposite
+orders on the two strands.  That cannot happen: two groups on both
+strands each have an arc in M from strand 1 to strand 2, and those arcs
+would cross.  Level planes then separate the groups, and the value is
+the product of the groups' values.  A component without passes is a
+trivial loop that shrinks into any band, so it is a group of its own.
+The walk tries the rule only on nodes with at least two inversions: a
+node with one is one slide from sorted, all that slide's children are
+leaves, and a split would only add a node.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import time
 from typing import Callable, Optional
 
 from . import classifier, resolver, sorter
-from .diagram import SkeinDiagram, Term, dedup_key, require_valid
+from .diagram import SkeinDiagram, Term, dedup_key, require_valid, strand_passes
 from .errors import InternalInvariantError, StepLimitExceeded
 from .laurent import LaurentPoly, SkeinPolynomial
 
@@ -102,45 +104,43 @@ def split_stage(d: SkeinDiagram) -> Optional[tuple[list[Term], dict]]:
     each a factor with coefficient 1, and the trace record; None when
     there is only one layer.
 
-    Two groups of components share a layer when their height intervals
-    on strand 1 overlap, or those on strand 2; merging repeats until no
-    group's interval on either strand overlaps another's.  Layers come
+    Two groups of components share a layer when their spans on strand 1
+    overlap, or those on strand 2, a group's span on a strand running
+    from its first pass there to its last (``strand_passes``); merging
+    repeats until no two groups overlap on either strand.  Layers come
     in the order of their lowest pass, each with its components in the
     order of theirs.  A component without passes is a layer of its own,
     ahead of the others.
     """
-    comps = sorted(d.components, key=lambda c: min(c.heights, default=0))
-    # each component's pass heights on strand 1 and on strand 2
-    on_strand = [([h for k, h in zip(c.codes, c.heights) if not k & 2],
-                  [h for k, h in zip(c.codes, c.heights) if k & 2]) for c in comps]
+    comps = d.components
+    if len(comps) < 2:
+        return None
     root = list(range(len(comps)))
 
     def find(i: int) -> int:
         while root[i] != i:
-            i = root[i] = root[root[i]]
+            root[i] = root[root[i]]
+            i = root[i]
         return i
 
     merged = True
     while merged:
         merged = False
-        for strand in (0, 1):
-            spans: dict[int, tuple[int, int]] = {}
-            for i, heights in enumerate(on_strand):
-                if heights[strand]:
-                    r, low, high = find(i), min(heights[strand]), max(heights[strand])
-                    prior = spans.get(r, (low, high))
-                    spans[r] = (min(prior[0], low), max(prior[1], high))
-            top = 0  # no height is below 1, so the lowest span opens a run
-            for low, high, r in sorted((low, high, r) for r, (low, high) in spans.items()):
-                if low < top:
+        for passes in strand_passes(d):
+            last = {find(li): h for h, li, _j, _k in passes}
+            top = 0  # no height is below 1, so the lowest pass opens a run
+            for h, li, _j, _k in passes:
+                r = find(li)
+                if h > top:
+                    below, top = r, last[r]
+                elif r != below:
+                    # r's span starts inside the run that below opened
                     root[r] = below
+                    top = max(top, last[r])
                     merged = True
-                else:
-                    below = r
-                top = max(top, high)
     groups: dict[int, list] = {}
-    for i, c in enumerate(comps):
-        groups.setdefault(find(i), []).append(c)
+    for li in sorted(range(len(comps)), key=lambda li: min(comps[li].heights, default=0)):
+        groups.setdefault(find(li), []).append(comps[li])
     if len(groups) < 2:
         return None
     factors = [Term(LaurentPoly.one(), SkeinDiagram(tuple(g), ())) for g in groups.values()]

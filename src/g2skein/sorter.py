@@ -1,33 +1,33 @@
 """Strand sorting: drive every diagram into the basis-readable form.
 
 A crossing-free diagram is "sorted" on a strand when every front pass
-sits below every behind pass there.  One scan of a diagram,
-``sort_state``, cached on it, gives its inversions and the slide to
-make next; the walk's leaf test, the sort rule and the progress monitor
-all read that one state.  Sorting repeatedly picks the lowest
-offending (front, behind) height pair, slides the two passes past each
-other (swapping their heights), and pays for the slide by
-inserting the self-crossings the move creates, which are resolved on
-the spot.  Two adjacent passes cost one crossing (a twist); separated
-passes cost a pair of opposite crossings.  A slide is one pass over the
-parent's arrays: ``induce_crossings`` finds both passes in one scan and
-rebuilds only the touched components, and ``sort_step`` smooths the new
-crossings with the resolver's core on bare components
-(``resolver.smoothings``), building a term only for each final child.
-Each step removes exactly one height inversion from every child, which
-is what guarantees termination and what the progress monitor checks.
+sits below every behind pass there.  The sorter reads a diagram's
+passes from one table, ``diagram.strand_passes``: each strand's passes
+bottom to top.  One sweep of it, ``sort_state``, cached on the diagram,
+gives its inversions and the slide to make next; the walk's leaf test,
+the sort rule and the progress monitor all read that one state.  A
+slide takes the lowest behind pass with a front pass directly above it
+on the first unsorted strand, swaps the two passes' heights, and pays
+for the move by inserting the self-crossings it creates, which are
+resolved on the spot.  Two passes adjacent on one component cost one
+crossing (a twist); any other pair costs two opposite crossings.  A
+slide is one pass over the parent's arrays: ``induce_crossings`` looks
+both passes up in the table and rebuilds only the touched components,
+and ``sort_step`` smooths the new crossings with the resolver's core on
+bare components (``resolver.smoothings``), building a term only for
+each final child.  Each step removes exactly one height inversion from
+every child, which is what guarantees termination and what the
+progress monitor checks, on a table built from the child's own arrays.
 
-Strand passes are read off their codes (see ``diagram``): ``k >> 1`` is
-0 or 1 for a pass in front of strand 1 or 2 and 2 or 3 for one behind
-it, and ``k & 1`` is set when the pass runs right to left.
+Strand passes are read off their codes (see ``diagram``): ``k & 4`` is
+set for a pass behind its strand, ``k & 2`` for one on strand 2, and
+``k & 1`` when the pass runs right to left.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, bisect_left
-
 from . import resolver
-from .diagram import Component, SkeinDiagram, Term, crossing_code, height_ranks, rotate_component
+from .diagram import Component, SkeinDiagram, Term, crossing_code, height_ranks, rotate_component, strand_passes
 from .errors import InternalInvariantError
 from .laurent import LaurentPoly
 
@@ -35,34 +35,29 @@ __all__ = ["sort_state", "induce_crossings", "sort_step"]
 
 
 def sort_state(d: SkeinDiagram) -> tuple:
-    """``(inversions, slide)`` of a diagram, cached on it.
+    """``(inversions, slide)`` of a diagram, cached on it, from one
+    bottom-up sweep of each strand's passes (``strand_passes``).
 
-    Inversions are the (front, behind) height pairs in the wrong order,
-    both strands pooled across every component.  ``slide`` is ``(strand,
-    under height, over height)`` on the first unsorted strand: its first
-    front pass above the lowest behind pass, and the highest behind pass
-    under that one, which is always its neighbour in height on the strand.
-    It is None exactly when there are no inversions.
+    Inversions are the (front, behind) pass pairs on one strand with the
+    behind pass lower, both strands counted.  ``slide`` is ``(strand,
+    under height, over height)`` on the first unsorted strand: its lowest
+    behind pass with a front pass directly above it, and that front
+    pass; None exactly when there are no inversions.
     """
     state = d._memo.get("sort")
     if state is not None:
         return state
-    pools: tuple[list[int], ...] = ([], [], [], [])
-    add = [pool.append for pool in pools]
-    for c in d.components:
-        for k, h in zip(c.codes, c.heights):
-            if k >= 0:
-                add[k >> 1](h)
     inversions = 0
     slide = None
-    for strand in (1, 2):
-        over, under = sorted(pools[strand - 1]), sorted(pools[strand + 1])
-        for h in over:
-            inversions += bisect_left(under, h)
-        if slide is None and under:
-            k = bisect(over, under[0])
-            if k < len(over):
-                slide = (strand, under[bisect(under, over[k]) - 1], over[k])
+    for strand, passes in enumerate(strand_passes(d), 1):
+        behind = 0
+        for i, (h, _li, _j, k) in enumerate(passes):
+            if k & 4:
+                behind += 1
+            elif behind:
+                inversions += behind
+                if slide is None and passes[i - 1][3] & 4:
+                    slide = (strand, passes[i - 1][0], h)
     state = d._memo["sort"] = (inversions, slide)
     return state
 
@@ -79,26 +74,24 @@ def induce_crossings(d: SkeinDiagram, a: int, c: int) -> Term:
     -t^(-3 sign) that compensates it; everything else gets a cancelling
     crossing pair on the two sides of the strand, and the coefficient 1.
     New branches carry placeholder height 0; the sign table of the result
-    holds exactly the new crossings.  One scan finds both passes, and
-    each touched component is rebuilt once per flanked section.
+    holds exactly the new crossings.  Both passes are looked up in the
+    pass table, and each touched component is rebuilt once per flanked
+    section.
     """
     if d.sign_pairs:
         raise InternalInvariantError("crossing induction on an unresolved diagram")
     if not a < c:
         raise InternalInvariantError(f"swap pair out of order: {a} >= {c}")
-    comps = list(d.components)
-    spots = {
-        h: (li, x.heights.index(h)) for li, x in enumerate(comps) for h in (a, c) if h in x.heights
-    }
+    spots = {p[0]: p for passes in strand_passes(d) for p in passes if p[0] in (a, c)}
     if len(spots) != 2:
         raise InternalInvariantError(f"no strand pass at height {c if a in spots else a}")
-    (la, ja), (lc, jc) = spots[a], spots[c]
-    ka, kc = comps[la].codes[ja], comps[lc].codes[jc]
+    (_, la, ja, ka), (_, lc, jc, kc) = spots[a], spots[c]
     if not ka & 4 or kc & 4:
         raise InternalInvariantError(f"heights {a} and {c} are not a behind and a front pass")
     if (ka ^ kc) & 2:
         raise InternalInvariantError("swap pair spans both strands")
 
+    comps = list(d.components)
     m = len(comps[la])
     if la == lc and (abs(ja - jc) == 1 or (m > 2 and {ja, jc} == {0, m - 1})):
         if abs(ja - jc) != 1:

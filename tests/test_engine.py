@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import g2skein
 from g2skein import Term, classifier, cli, diagram, engine, parse_diagram, serialize_diagram, sorter
 from g2skein.diagram import (
+    Component,
     SkeinDiagram,
     dedup_key,
     relabel_heights,
@@ -370,6 +372,61 @@ def test_heights_interleaved_on_one_strand_do_not_split(seed, strand):
     assert value == naive_value(d)
 
 
+def naive_layers(d):
+    """The finest grouping of the components in which no two groups'
+    spans, lowest pass to highest, overlap on strand 1 or on strand 2;
+    groups in the order of their lowest pass, each in that order too."""
+    def low(c):
+        return min(c.heights, default=0)
+
+    def span(group, strand):
+        heights = [h for c in group for k, h in zip(c.codes, c.heights) if k >> 1 & 1 == strand]
+        return (min(heights), max(heights)) if heights else None
+
+    groups = [[c] for c in d.components]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            spans = [(span(groups[a], s), span(groups[b], s)) for s in (0, 1)]
+            if any(x and y and x[0] < y[1] and y[0] < x[1] for x, y in spans):
+                groups[a] += groups.pop(b)
+                merged = True
+                break
+    return sorted((sorted(g, key=low) for g in groups), key=lambda g: low(g[0]))
+
+
+def test_layers_match_the_finest_unmixed_grouping():
+    """On bare strand passes at random heights, and on a layout in which
+    groups merge in a chain over three sweeps, the layer rule finds the
+    groups that ``naive_layers`` finds."""
+    def comp(*passes):
+        return Component(tuple(k for k, _h in passes), tuple(h for _k, h in passes))
+
+    # D, E, B, C, A: A joins B on strand 1, B joins C and E joins D on
+    # strand 2, and then C's group joins D's on strand 1
+    chain = [comp((5, 1), (2, 70), (2, 73), (5, 2)), comp((1, 40), (2, 71), (2, 72), (1, 41)),
+             comp((1, 30), (2, 61), (2, 62), (1, 33)), comp((1, 50), (2, 60), (2, 69), (1, 51)),
+             comp((1, 31), (2, 63), (2, 64), (1, 32))]
+    layouts = [chain]
+    rng = random.Random(5)
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        heights = rng.sample(range(1, 4 * n), rng.randint(n, 3 * n))
+        owners = [rng.randrange(n) for _ in heights]
+        layouts.append([
+            comp(*[(rng.randrange(8), h) for h, owner in zip(heights, owners) if owner == li]) for li in range(n)
+        ])
+    for comps in layouts:
+        d = SkeinDiagram(tuple(comps), ())
+        expected, out = naive_layers(d), split_stage(d)
+        if out is None:
+            assert len(expected) == 1, comps
+        else:
+            assert [list(f.diagram.components) for f in out[0]] == expected, comps
+            assert out[1] == {"stage": "split", "groups": len(expected)}
+
+
 def test_trivial_loop_is_split_off(y_neg, unknot):
     d = SkeinDiagram(y_neg.components + unknot.components, ())
     factors, record = split_stage(d)
@@ -631,6 +688,31 @@ def test_cli_resolve_step_limit(tmp_path):
     assert r.stderr.strip() == "error: the walk needs more than 0 expansions"
     assert run_cli("resolve", str(f), "--max-steps", str(spent - 1)).returncode == 3
     assert run_cli("resolve", str(f), "--max-steps", str(spent)).returncode == 0
+
+
+def test_cli_resolve_budget_defaults_to_five_million(tmp_path, monkeypatch, capsys):
+    """``resolve`` hands the walk a budget of 5,000,000 expansions unless
+    ``--max-steps`` names another, and ``--help`` says so; an explicit
+    budget still exits 0 when it covers the run and 3 when it does not."""
+    f = tmp_path / "d.json"
+    f.write_text(doc_text(TWO_CROSSING_DOC))
+    stats = {}
+    run_pipeline(parse_diagram(doc_text(TWO_CROSSING_DOC)), stats=stats)
+    spent = stats["crossing_expansions"] + stats["sort_expansions"] + stats["layer_splits"]
+    budgets = []
+    real = engine.run_pipeline
+
+    def spy(d, **kwargs):
+        budgets.append(kwargs["max_steps"])
+        return real(d, **kwargs)
+
+    monkeypatch.setattr(engine, "run_pipeline", spy)
+    assert cli.main(["resolve", str(f)]) == 0
+    assert cli.main(["resolve", str(f), "--max-steps", str(spent)]) == 0
+    assert cli.main(["resolve", str(f), "--max-steps", str(spent - 1)]) == 3
+    assert budgets == [5_000_000, spent, spent - 1]
+    assert cli.main(["resolve", "--help"]) == 0
+    assert "(default: 5,000,000)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_fuzz_clean(tmp_path):

@@ -16,13 +16,24 @@ and does its own arithmetic on plain ints:
   images have n^2 height inversions, so this is the check with an
   independently computed value that drives the sorter; and the same
   closures with the strands swapped, around strand 2, valued in z;
+* the Temperley-Lieb state sum on seeded 3-strand closures of 16 to 40
+  letters, the crossing-heavy regime of the benchmark's ``braid``
+  workload;
+* the filled-ball state sum at generic t (``filled_ball``, kept under
+  ``tests/``): at x = y = z = -t^2 - t^-2 the value is the bracket of the
+  drawing with both strands deleted, checked on the fixtures, on
+  ``random_diagram(s, 2, 3)`` for s < 150, on
+  ``random_diagram_with_crossings(s, 8, 10)`` for s < 10 and on the
+  ``crossings-10`` input;
 * the exponent congruence of the Kauffman bracket on the 220 golden
   inputs and on ``random_diagram(s, 2, 3)`` for s < 500.
 """
 
+import copy
 import json
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -37,6 +48,7 @@ from test_golden_values import inputs as golden_inputs
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import oracles  # noqa: E402
 from annular import annular_bracket, annular_document, annular_failure, swap_strands  # noqa: E402
+from filled_ball import MAX_CROSSINGS, filled_ball_failure  # noqa: E402
 
 FIXTURES = sorted(name for name in dir(conftest) if name.endswith("_DOC"))
 PAIRS = oracles.random_sl2_pairs(0, 2)
@@ -74,6 +86,68 @@ def test_state_sum_on_braid_closures():
         doc = oracles.braid_document(word, n)
         failure = oracles.bracket_failure(value_obj(doc), oracles.braid_bracket(word, n))
         assert failure is None, f"{n} strands, word {word}: {failure}"
+
+
+@pytest.mark.parametrize("letters", [16, 24, 32, 40])
+def test_state_sum_on_long_braid_closures(letters):
+    """Seeded 3-strand closures as long as the ``braid`` workload's and
+    longer: many crossings, and no strand pass to sort."""
+    rng = random.Random(letters)
+    word = [(rng.randint(1, 2), rng.choice((1, -1))) for _ in range(letters)]
+    failure = oracles.bracket_failure(value_obj(oracles.braid_document(word, 3)), oracles.braid_bracket(word, 3))
+    assert failure is None, f"word {word}: {failure}"
+
+
+def filled_ball_inputs():
+    """(name, diagram): the fixtures, A5's first 150 diagrams, ten of 8 to
+    10 crossings and the ``crossings-10`` input."""
+    for name in FIXTURES:
+        yield name, parse_diagram(json.dumps(getattr(conftest, name)))
+    for s in range(150):
+        yield f"random_diagram({s}, 2, 3)", random_diagram(s, 2, 3)
+    for s in range(10):
+        yield f"random_diagram_with_crossings({s}, 8, 10)", random_diagram_with_crossings(s, 8, 10)
+    yield "random_diagram_with_crossings(11, 10, 10)", random_diagram_with_crossings(11, 10, 10)
+
+
+def test_filled_ball_state_sum():
+    """Values at x = y = z = delta against the bracket of the drawing
+    without the strands; diagrams of more than ``MAX_CROSSINGS``
+    crossings are skipped, and a warning names them."""
+    checked, skipped = 0, []
+    for name, d in filled_ball_inputs():
+        doc = json.loads(serialize_diagram(d))
+        if len(doc["U"]) > MAX_CROSSINGS:
+            skipped.append(name)
+            continue
+        failure = filled_ball_failure(doc, run_pipeline(d).to_json_obj())
+        assert failure is None, f"{name}: {failure}"
+        checked += 1
+    if skipped:
+        warnings.warn(f"filled-ball check skipped {len(skipped)} diagrams of more than"
+                      f" {MAX_CROSSINGS} crossings: {skipped}")
+    assert checked >= 150
+
+
+def test_filled_ball_check_rejects_a_perturbed_value():
+    doc = conftest.TWO_CROSSING_DOC
+    value = value_obj(doc)
+    assert filled_ball_failure(doc, value) is None
+    bumped = copy.deepcopy(value)
+    bumped["polynomial"][0]["coeff"][0][1] += 1
+    assert filled_ball_failure(doc, bumped) is not None
+    # one basis loop more in a monomial is one factor delta more
+    grown = copy.deepcopy(value)
+    grown["polynomial"][0]["monomial"]["y"] += 1
+    assert filled_ball_failure(doc, grown) is not None
+    # a kink's value under t -> 1/t is its mirror image's, not its own
+    doc = conftest.KINK_POS_DOC
+    value = value_obj(doc)
+    mirrored = {"polynomial": [
+        {**entry, "coeff": [[-e, c] for e, c in entry["coeff"]]} for entry in value["polynomial"]
+    ]}
+    assert filled_ball_failure(doc, mirrored) is not None
+    assert filled_ball_failure(oracles.mirror_document(doc), mirrored) is None
 
 
 def annular_words():
